@@ -14,8 +14,8 @@ from .gaussian import (CovarianceMatrix, SymplecticSpectrum, TwoModeBlocks,
                        determinant_symplectic_eigenvalues, epr_variance, is_physical,
                        log_negativity, partial_transpose, symplectic_eigenvalues,
                        symplectic_form, two_mode_blocks, von_neumann_entropy)
-from .dynamics import (DriftDiffusion, PlantModel, diffusion_matrix, drift_diffusion,
-                       drift_matrix, integrate_moments, is_hurwitz, lyapunov_steady)
+from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
+                       is_hurwitz, lyapunov_steady)
 from .unravelling import (HETERODYNE, HOMODYNE_Q, LmiReport, MeasurementModel,
                           Unravelling, cbar, lmi_feasible, measurement_model,
                           psd_sqrt, recover_unravelling, riccati_rhs, riccati_steady,
@@ -35,7 +35,7 @@ from .trajectories import (SimConfig, TrajectoryStats, regulation_cost,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHI_MAX", "CURVE_SCHEMES", "ClosedLoop", "CovarianceMatrix", "DriftDiffusion",
+    "CHI_MAX", "CURVE_SCHEMES", "ClosedLoop", "CovarianceMatrix",
     "EntlqgError", "FeedbackGain", "HETERODYNE", "HOMODYNE_Q",
     "InvalidUnravellingError", "LmiReport", "MeasurementModel",
     "NoStableSolutionError", "NonlocalOptimumReport", "NopoParams",
@@ -44,7 +44,7 @@ __all__ = [
     "StabilityError", "SymplecticSpectrum", "TrajectoryDivergenceError",
     "TrajectoryStats", "TwoModeBlocks", "Unravelling", "UnphysicalStateError",
     "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "cost_matrix",
-    "determinant_symplectic_eigenvalues", "diffusion_matrix", "drift_diffusion",
+    "determinant_symplectic_eigenvalues", "diffusion_matrix",
     "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",
     "heterodyne_optimal_mu", "heterodyne_stable", "homodyne_closed_form_V",
     "homodyne_gain", "homodyne_stable", "integrate_moments", "is_hurwitz",

@@ -249,7 +249,7 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
     V_pred = lyapunov_steady(loop.A_prime, loop.D_prime)
 
     try:
-        stats = simulate_conditional(plant, u, gain, cfg)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=W)
     except TrajectoryDivergenceError as exc:
         click.echo(f"error: {exc} (trajectory {exc.trajectory})", err=True)
         sys.exit(4)

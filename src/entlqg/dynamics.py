@@ -48,14 +48,6 @@ class PlantModel:
         return self.Ctilde.shape[0]
 
 
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift matrix A and diffusion matrix D of the moment equations."""
-
-    A: np.ndarray
-    D: np.ndarray
-
-
 def drift_matrix(plant: PlantModel) -> np.ndarray:
     """A = Sigma (G + Im[Ctilde^dag Ctilde])."""
     S = symplectic_form(plant.n_modes)
@@ -67,10 +59,6 @@ def diffusion_matrix(plant: PlantModel) -> np.ndarray:
     S = symplectic_form(plant.n_modes)
     D = S @ (plant.Ctilde.conj().T @ plant.Ctilde).real @ S.T
     return 0.5 * (D + D.T)
-
-
-def drift_diffusion(plant: PlantModel) -> DriftDiffusion:
-    return DriftDiffusion(A=drift_matrix(plant), D=diffusion_matrix(plant))
 
 
 def is_hurwitz(A: np.ndarray, tol: float = HURWITZ_TOL) -> bool:

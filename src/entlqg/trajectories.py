@@ -1,11 +1,14 @@
 """Monte-Carlo oracle for the conditional dynamics under measurement and feedback.
 
-The conditional covariance evolves deterministically (its Riccati ODE is
-integrated with RK4), while the conditional means follow a linear SDE driven
-by the measurement noise and are integrated per trajectory with
-Euler-Maruyama. In steady state the unconditional covariance decomposes as
-the conditional covariance plus the ensemble second moment of the means,
-which is what the statistics returned here verify.
+The conditional covariance is deterministic. Started on a fixed point of its
+Riccati equation (the default) it stays constant; started anywhere else it
+is propagated exactly, step by step, by the linear-fractional map of the
+Riccati flow. The conditional means follow a linear SDE driven by the
+measurement noise and are integrated with Euler-Maruyama, all trajectories
+at once. Noise is drawn in blocks of time steps, so peak memory does not
+depend on the horizon. In steady state the unconditional covariance
+decomposes as the conditional covariance plus the ensemble second moment of
+the means, which is what the statistics returned here verify.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from .dynamics import PlantModel, diffusion_matrix, drift_matrix, is_hurwitz
 from .errors import StabilityError, TrajectoryDivergenceError
 from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
-from .unravelling import Unravelling, measurement_model, riccati_rhs, riccati_steady
+from .unravelling import (RICCATI_DERIVATIVE_TOL, Unravelling, measurement_model,
+                          riccati_rhs, riccati_steady)
 
-_CHUNK = 128
+_BLOCK = 256              # time steps per noise block
+_ROWS = 1024              # trajectories advanced together; bounds memory in n_traj
 _DIVERGENCE_LIMIT = 1e6
-_DIVERGENCE_CHECK_EVERY = 200
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,9 @@ class SimConfig:
 
     dt and t_final are in damping-time units. Each trajectory draws its
     Gaussian increments from an independent counter-based stream derived
-    from the master seed, so results are bit-identical regardless of
-    execution order or chunking.
+    from the master seed, so a trajectory's result is bit-identical whatever
+    the ensemble size or chunking (an ensemble of one trajectory excepted:
+    NumPy steps it on a matrix-vector path that can differ in the last bits).
     """
 
     dt: float = 1e-3
@@ -99,16 +104,66 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential: Taylor series of M / 2^s (1-norm <= 1/2), squared s times."""
+    norm = np.abs(M).sum(axis=0).max()
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
+    X = M / 2.0**s
+    E = term = np.eye(len(M))
+    for k in range(1, 19):   # truncation below 0.5^19 / 19! ~ 2e-23
+        term = term @ X / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _riccati_powers(A, D, C, Gamma, dt: float) -> np.ndarray:
+    """Powers Phi^j, j = 0.._BLOCK, of the exact Riccati step Phi = exp(H dt).
+
+    With Omega = A - Gamma^T C, the covariance equation reads
+    dV/dt = Omega V + V Omega^T + (D - Gamma^T Gamma) - V C^T C V, and
+    V = X Y^-1 solves it exactly when d[X; Y]/dt = H [X; Y] with
+    H = [[Omega, D - Gamma^T Gamma], [C^T C, -Omega^T]].
+    """
+    Omega = A - Gamma.T @ C
+    Phi = _expm(dt * np.block([[Omega, D - Gamma.T @ Gamma], [C.T @ C, -Omega.T]]))
+    powers = np.empty((_BLOCK + 1, *Phi.shape))
+    powers[0] = np.eye(len(Phi))
+    for j in range(_BLOCK):
+        powers[j + 1] = powers[j] @ Phi
+    return powers
+
+
+def _covariance_block(V: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """V_j = (P11 V + P12)(P21 V + P22)^-1 for each power P = Phi^j in the block."""
+    n = len(V)
+    XY = powers @ np.vstack([V, np.eye(n)])
+    # X Y^-1 = (Y^-T X^T)^T, and V is symmetric.
+    Vs = np.linalg.solve(XY[:, n:].transpose(0, 2, 1), XY[:, :n].transpose(0, 2, 1))
+    return 0.5 * (Vs + Vs.transpose(0, 2, 1))
+
+
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                          cfg: SimConfig,
                          v0: CovarianceMatrix | None = None) -> TrajectoryStats:
     """Simulate the conditional moments under continuous measurement and feedback.
 
     The conditional covariance starts from ``v0`` (default: the stabilizing
-    Riccati steady state, i.e. steady-state operation) and is integrated
-    with RK4. Conditional means start at zero and follow
-    d<x> = (A + BF C)<x> dt + (V_c C^T + Gamma^T + BF) dw per trajectory.
-    Statistics are accumulated after the burn-in fraction of the horizon.
+    Riccati steady state from ``riccati_steady``, i.e. steady-state
+    operation). On a fixed point, where max|dV/dt| <= RICCATI_DERIVATIVE_TOL,
+    it is held constant and ``v_c_final`` equals ``v0`` exactly. Otherwise
+    it is propagated exactly by V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1
+    with Phi = exp(H dt), one 4N x 4N exponential per run.
+
+    Conditional means start at zero and follow
+    d<x> = (A + BF C)<x> dt + (V_c C^T + Gamma^T + BF) dw, stepped with
+    Euler-Maruyama for all trajectories at once. Each trajectory draws its
+    2L-dimensional increments from its own Philox stream, in blocks of
+    ``_BLOCK`` steps; the draws are bit-identical to one draw over the whole
+    horizon. Peak memory grows with the number of trajectories (up to
+    ``_ROWS`` advanced together) but not with the horizon. Statistics are
+    accumulated after the burn-in fraction of the horizon.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -126,49 +181,53 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
             stacklevel=2)
 
     n_steps, dt = cfg.n_steps, cfg.dt
-    n = A.shape[0]
-
-    # Deterministic conditional covariance path and noise coefficients.
-    Vc = (v0.data if v0 is not None else riccati_steady(plant, u).data).copy()
-    coeff = np.empty((n_steps, n, C.shape[0]))
-    for k in range(n_steps):
-        coeff[k] = Vc @ C.T + Gamma.T + BF
-        k1 = riccati_rhs(A, D, C, Gamma, Vc)
-        k2 = riccati_rhs(A, D, C, Gamma, Vc + 0.5 * dt * k1)
-        k3 = riccati_rhs(A, D, C, Gamma, Vc + 0.5 * dt * k2)
-        k4 = riccati_rhs(A, D, C, Gamma, Vc + dt * k3)
-        Vc = Vc + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        Vc = 0.5 * (Vc + Vc.T)
-    v_c_final = CovarianceMatrix(Vc)
+    V0 = riccati_steady(plant, u).data if v0 is None else v0.data
+    powers = None
+    if np.max(np.abs(riccati_rhs(A, D, C, Gamma, V0))) > RICCATI_DERIVATIVE_TOL:
+        powers = _riccati_powers(A, D, C, Gamma, dt)
 
     k_burn = int(cfg.burn_in * n_steps)
-    n_avg = n_steps - k_burn
-    sqrt_dt = np.sqrt(dt)
-    A_cl_T = A_cl.T
-
+    n = A.shape[0]
+    Mt = (np.eye(n) + dt * A_cl).T
     mean_by = np.empty((cfg.n_traj, n))
     outer_by = np.empty((cfg.n_traj, n, n))
-    for start in range(0, cfg.n_traj, _CHUNK):
-        idx = range(start, min(start + _CHUNK, cfg.n_traj))
-        noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, n))
-                          for i in idx]) * sqrt_dt
-        X = np.zeros((len(noise), n))
+    # Even row chunks, so that no chunk holds a lone trajectory: NumPy would
+    # step it on its matrix-vector path, whose last bits differ.
+    n_chunks = -(-cfg.n_traj // _ROWS)
+    edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        rngs = [_trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
+        xi = np.empty((hi - lo, _BLOCK, C.shape[0]))
+        X = np.zeros((hi - lo, n))
         SX = np.zeros_like(X)
-        SXX = np.zeros((len(noise), n, n))
-        for k in range(n_steps):
-            X = X + (X @ A_cl_T) * dt + noise[:, k, :] @ coeff[k].T
-            if k % _DIVERGENCE_CHECK_EVERY == 0:
-                peak = np.abs(X).max()
-                if peak > _DIVERGENCE_LIMIT or not np.isfinite(peak):
-                    bad = int(np.abs(X).max(axis=1).argmax()) + start
-                    raise TrajectoryDivergenceError(
-                        f"trajectory {bad} diverged at step {k}", trajectory=bad)
-            if k >= k_burn:
-                SX += X
-                SXX += np.einsum("ci,cj->cij", X, X)
-        mean_by[idx.start:idx.stop] = SX / n_avg
-        outer_by[idx.start:idx.stop] = SXX / n_avg
+        SXX = np.zeros((hi - lo, n, n))
+        V = V0
+        for start in range(0, n_steps, _BLOCK):
+            b = min(_BLOCK, n_steps - start)
+            for draw, rng in zip(xi, rngs):
+                rng.standard_normal(out=draw[:b])
+            if powers is None:
+                Kt = (V @ C.T + Gamma.T + BF).T
+            else:
+                Vs = _covariance_block(V, powers[:b + 1])
+                V = Vs[b]
+                Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1)
+            # Time-major noise terms, overwritten in place by the states.
+            F = np.matmul(xi[:, :b].transpose(1, 0, 2), np.sqrt(dt) * Kt)
+            for f in F:
+                f += X @ Mt
+                X = f
+            if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
+                bad = lo + int(np.abs(X).max(axis=1).argmax())
+                raise TrajectoryDivergenceError(
+                    f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
+            kept = F[max(0, k_burn - start):]
+            SX += kept.sum(axis=0)
+            SXX += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
+        mean_by[lo:hi] = SX / (n_steps - k_burn)
+        outer_by[lo:hi] = SXX / (n_steps - k_burn)
 
+    v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)
     return TrajectoryStats(
         v_c_final=v_c_final, mean_outer=mean_outer,

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from entlqg import (HOMODYNE_Q, FeedbackGain, NopoParams, SchemeId, SimConfig,
-                    StabilityError, build_plant, closed_loop_for_scheme,
-                    cost_matrix, lyapunov_steady, open_loop_V, optimal_nonlocal,
-                    regulation_cost, regulation_cost_sem, riccati_steady,
-                    scheme_realization, simulate_conditional)
+from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel,
+                    SchemeId, SimConfig, StabilityError, Unravelling, build_plant,
+                    closed_loop, closed_loop_for_scheme, cost_matrix,
+                    diffusion_matrix, drift_matrix, lyapunov_steady,
+                    measurement_model, open_loop_V, optimal_nonlocal,
+                    optimize_scheme, regulation_cost, regulation_cost_sem,
+                    riccati_rhs, riccati_steady, scheme_realization,
+                    simulate_conditional)
+from entlqg.trajectories import _BLOCK, _riccati_powers, _trajectory_rng
 
 OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
@@ -39,6 +43,17 @@ class TestDeterminism:
         assert np.array_equal(a.mean_by_traj, b.mean_by_traj)
         assert np.array_equal(a.v_c_final.data, b.v_c_final.data)
 
+    def test_prefix_of_larger_ensemble_bitwise(self):
+        # each trajectory owns its noise stream, so the ensemble size does not
+        # change a trajectory's aggregates
+        plant = build_plant(NopoParams(0.2))
+        small, large = (simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN,
+                                             SimConfig(dt=1e-2, t_final=5.0, n_traj=k,
+                                                       seed=17))
+                        for k in (5, 300))
+        assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:5])
+        assert np.array_equal(small.mean_by_traj, large.mean_by_traj[:5])
+
     def test_different_seed_differs(self):
         plant = build_plant(NopoParams(0.2))
         cfg1 = SimConfig(dt=1e-2, t_final=5.0, n_traj=16, seed=1)
@@ -54,14 +69,55 @@ class TestConditionalCovariance:
         W = riccati_steady(plant, u)
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
 
-    def test_step_size_insensitive(self):
-        # the conditional covariance path is deterministic RK4; halving dt
-        # moves the endpoint by far less than the statistical tolerances
+    def test_default_start_is_the_riccati_start(self):
         plant = build_plant(NopoParams(0.25))
+        cfg = SimConfig(dt=1e-2, t_final=10.0, n_traj=8, seed=4)
+        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
+        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg,
+                                 v0=riccati_steady(plant, HOMODYNE_Q))
+        for field in ("mean_outer", "v_unconditional", "outer_by_traj", "mean_by_traj"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert np.array_equal(a.v_c_final.data, b.v_c_final.data)
+
+    def test_fixed_point_start_is_kept_exactly(self):
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        W = riccati_steady(plant, HETERODYNE)
+        cfg = SimConfig(dt=1e-2, t_final=3.0, n_traj=2, seed=0)
+        stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg, v0=W)
+        assert np.array_equal(stats.v_c_final.data, W.data)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_transient_matches_rk4(self, dt):
+        # the exact linear-fractional map against a fine RK4 integration of
+        # the Riccati equation, from the open-loop state to T = 2
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, HOMODYNE_Q)
+        V = open_loop_V(p).data
+        h = 1e-3
+        for _ in range(2000):
+            k1 = riccati_rhs(A, D, meas.C, meas.Gamma, V)
+            k2 = riccati_rhs(A, D, meas.C, meas.Gamma, V + 0.5 * h * k1)
+            k3 = riccati_rhs(A, D, meas.C, meas.Gamma, V + 0.5 * h * k2)
+            k4 = riccati_rhs(A, D, meas.C, meas.Gamma, V + h * k3)
+            V = V + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        cfg = SimConfig(dt=dt, t_final=2.0, n_traj=2, seed=0)
+        stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=open_loop_V(p))
+        assert np.max(np.abs(V - open_loop_V(p).data)) > 1e-2   # a real transient
+        assert np.max(np.abs(stats.v_c_final.data - V)) <= 1e-10
+
+    def test_step_size_insensitive(self):
+        # the covariance map is exact, so halving dt moves the endpoint only
+        # by rounding
+        p = NopoParams(0.25)
+        plant = build_plant(p)
         finals = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = SimConfig(dt=dt, t_final=6.0, n_traj=1, seed=0)
-            stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
+            stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg,
+                                         v0=open_loop_V(p))
             finals.append(stats.v_c_final.data)
         assert np.max(np.abs(finals[0] - finals[1])) <= 1e-9
         assert np.max(np.abs(finals[1] - finals[2])) <= 1e-9
@@ -74,6 +130,46 @@ class TestConditionalCovariance:
                                      v0=open_loop_V(p))
         W = riccati_steady(plant, HOMODYNE_Q)
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
+
+
+class TestMeanRecursion:
+    @pytest.mark.parametrize("transient", [False, True])
+    def test_matches_per_step_euler_reference(self, transient):
+        # 600 steps: two full noise blocks and a partial one, with the
+        # burn-in ending inside the second block. From the open-loop state the
+        # reference steps the covariance one linear-fractional map at a time.
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.LOCAL_III))
+        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13, burn_in=0.5)
+        n_steps, dt = cfg.n_steps, cfg.dt
+        k_burn = int(cfg.burn_in * n_steps)
+        assert n_steps % _BLOCK and k_burn % _BLOCK
+        v0 = open_loop_V(p) if transient else None
+        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
+
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, u)
+        A_cl = A + gain.BF @ meas.C
+        V = (riccati_steady(plant, u) if v0 is None else v0).data
+        Phi = _riccati_powers(A, D, meas.C, meas.Gamma, dt)[1]
+        noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
+                          for i in range(cfg.n_traj)]) * np.sqrt(dt)
+        X = np.zeros((cfg.n_traj, 4))
+        SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, 4, 4))
+        for k in range(n_steps):
+            K = V @ meas.C.T + meas.Gamma.T + gain.BF
+            X = X + (X @ A_cl.T) * dt + noise[:, k] @ K.T
+            if transient:
+                V = ((Phi[:4, :4] @ V + Phi[:4, 4:])
+                     @ np.linalg.inv(Phi[4:, :4] @ V + Phi[4:, 4:]))
+            if k >= k_burn:
+                SX += X
+                SXX += np.einsum("ci,cj->cij", X, X)
+        for got, ref in ((stats.mean_by_traj, SX / (n_steps - k_burn)),
+                         (stats.outer_by_traj, SXX / (n_steps - k_burn)),
+                         (stats.v_c_final.data, V)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestUnconditionalDecomposition:
@@ -105,6 +201,23 @@ class TestUnconditionalDecomposition:
         V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
         tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
         assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
+
+
+    def test_fewer_channels_than_modes_times_two(self):
+        # one mode watched through two identical damping channels: the noise
+        # has the current dimension 2L = 4, not the state dimension 2N = 2
+        row = np.array([1, 1j]) / np.sqrt(2)
+        plant = PlantModel(G=np.zeros((2, 2)), Ctilde=np.array([row, row]), B=np.eye(2))
+        u = Unravelling(np.eye(2))
+        gain = FeedbackGain(0.3 * np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]))
+        loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant), gain,
+                           measurement_model(plant, u))
+        V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
+        cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=2)
+        stats = simulate_conditional(plant, u, gain, cfg)
+        tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
+        assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
+        assert np.max(np.abs(stats.mean_outer)) > 1e-2   # the noise drives the means
 
 
 class TestMeanRegulation:
