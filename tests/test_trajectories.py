@@ -5,7 +5,7 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel
                     SchemeId, SimConfig, StabilityError, Unravelling, build_plant,
                     closed_loop, closed_loop_for_scheme, cost_matrix,
                     diffusion_matrix, drift_matrix, lyapunov_steady,
-                    measurement_model, open_loop_V, optimal_nonlocal,
+                    measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
@@ -132,9 +132,15 @@ class TestConditionalCovariance:
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
 
 
+def _expm_by_eig(M):
+    # independent of the simulator's Taylor _expm; M = A_cl dt is diagonalizable
+    lam, E = np.linalg.eig(M)
+    return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
+
+
 class TestMeanRecursion:
     @pytest.mark.parametrize("transient", [False, True])
-    def test_matches_per_step_euler_reference(self, transient):
+    def test_matches_per_step_midpoint_reference(self, transient):
         # 600 steps: two full noise blocks and a partial one, with the
         # burn-in ending inside the second block. From the open-loop state the
         # reference steps the covariance one linear-fractional map at a time.
@@ -151,6 +157,8 @@ class TestMeanRecursion:
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
         A_cl = A + gain.BF @ meas.C
+        half = _expm_by_eig(0.5 * dt * A_cl)
+        Phi_mean = half @ half
         V = (riccati_steady(plant, u) if v0 is None else v0).data
         Phi = _riccati_powers(A, D, meas.C, meas.Gamma, dt)[1]
         noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
@@ -159,7 +167,7 @@ class TestMeanRecursion:
         SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, 4, 4))
         for k in range(n_steps):
             K = V @ meas.C.T + meas.Gamma.T + gain.BF
-            X = X + (X @ A_cl.T) * dt + noise[:, k] @ K.T
+            X = X @ Phi_mean.T + noise[:, k] @ (half @ K).T
             if transient:
                 V = ((Phi[:4, :4] @ V + Phi[:4, 4:])
                      @ np.linalg.inv(Phi[4:, :4] @ V + Phi[4:, 4:]))
@@ -170,6 +178,69 @@ class TestMeanRecursion:
                          (stats.outer_by_traj, SXX / (n_steps - k_burn)),
                          (stats.v_c_final.data, V)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III])
+    def test_stationary_covariance_at_largest_step(self, scheme):
+        # The chain P = Phi P Phi^T + dt H K K^T H^T (H = e^{A_cl dt/2}) at the
+        # dt cap lands near the continuous stationary covariance of the means;
+        # the Euler chain at the same step misses it by first order in dt.
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        meas = measurement_model(plant, u)
+        A_cl = drift_matrix(plant) + gain.BF @ meas.C
+        K = riccati_steady(plant, u).data @ meas.C.T + meas.Gamma.T + gain.BF
+        exact = lyapunov_steady(A_cl, K @ K.T).data
+        dt = 1e-2
+        half = _expm_by_eig(0.5 * dt * A_cl)
+
+        def stationary(Phi, L):
+            # row-major vec(Phi P Phi^T) = (Phi kron Phi) vec(P)
+            n = len(Phi)
+            P = np.linalg.solve(np.eye(n * n) - np.kron(Phi, Phi), (L @ L.T).ravel())
+            return P.reshape(n, n)
+
+        def rel_error(P):
+            return np.max(np.abs(P - exact)) / np.max(np.abs(exact))
+
+        assert rel_error(stationary(half @ half, np.sqrt(dt) * half @ K)) <= 1e-5
+        assert rel_error(stationary(np.eye(4) + dt * A_cl, np.sqrt(dt) * K)) > 1e-5
+
+    def test_zero_noise_coefficient_draws_nothing(self, monkeypatch):
+        # The nonlocal gain is built from the closed-form W, so started there
+        # the noise coefficient is exactly zero and no stream is opened; from
+        # riccati_steady's W (2.5e-12 away) it is not, and the draw is scaled
+        # to nothing.
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        result = optimal_nonlocal(p)
+        u, gain = scheme_realization(p, result)
+        cfg = SimConfig(t_final=20.0, n_traj=40, seed=7)
+        drawn = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
+
+        def no_draw(seed, index):
+            raise AssertionError("noise drawn for K = 0")
+
+        monkeypatch.setattr("entlqg.trajectories._trajectory_rng", no_draw)
+        silent = simulate_conditional(plant, u, gain, cfg, v0=result.V)
+        assert np.all(silent.mean_outer == 0)
+        assert np.all(silent.outer_by_traj == 0) and np.all(silent.mean_by_traj == 0)
+        assert np.array_equal(silent.v_c_final.data, result.V.data)
+        assert np.max(np.abs(drawn.mean_outer)) > 0
+        assert np.max(np.abs(drawn.mean_outer - silent.mean_outer)) <= 1e-20
+
+    def test_zero_noise_coefficient_off_the_fixed_point_draws(self):
+        # K is zero only at the start: the covariance then moves and the
+        # noise reaches the means, so the draw cannot be skipped
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        V0 = open_loop_V(p)
+        meas = measurement_model(plant, HETERODYNE)
+        gain = optimal_gain(V0, meas)
+        assert not np.any(V0.data @ meas.C.T + meas.Gamma.T + gain.BF)
+        cfg = SimConfig(t_final=10.0, n_traj=8, seed=1)
+        stats = simulate_conditional(plant, HETERODYNE, gain, cfg, v0=V0)
+        assert np.max(np.abs(stats.mean_outer)) > 1e-3
 
 
 class TestUnconditionalDecomposition:
