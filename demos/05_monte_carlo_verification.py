@@ -25,7 +25,7 @@ result = optimal_nonlocal(p)
 u, gain = scheme_realization(p, result)
 W = riccati_steady(plant, u)
 
-cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=500, seed=7)
+cfg = SimConfig(t_final=20.0, n_traj=500, seed=7)
 print(f"simulating {cfg.n_traj} trajectories at chi = {chi} "
       f"(dt = {cfg.dt}, horizon = {cfg.t_final}) ...")
 stats = simulate_conditional(plant, u, gain, cfg)
@@ -44,7 +44,7 @@ print(f"closed form 1 - 2 chi            = {1 - 2 * chi}")
 print("\nzero-gain control run at chi = 0.25 (conditioning without feedback):")
 p = NopoParams(0.25)
 plant = build_plant(p)
-cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=400, seed=11)
+cfg = SimConfig(t_final=40.0, n_traj=400, seed=11)
 stats = simulate_conditional(plant, HOMODYNE_Q, FeedbackGain(np.zeros((4, 4))), cfg)
 
 V_open = open_loop_V(p).data

@@ -87,29 +87,31 @@ def lyapunov_steady(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(V)
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential: Taylor series of M / 2^s (1-norm <= 1/2), squared s times."""
+    norm = np.abs(M).sum(axis=0).max()
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
+    X = M / 2.0**s
+    E = term = np.eye(len(M))
+    for k in range(1, 19):   # truncation below 0.5^19 / 19! ~ 2e-23
+        term = term @ X / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def integrate_moments(A: np.ndarray, D: np.ndarray, V0: CovarianceMatrix,
-                      dt: float = 1e-3, t_final: float = 10.0) -> CovarianceMatrix:
-    """Fixed-step RK4 integration of dV/dt = A V + V A^T + D from V0."""
-    if dt <= 0 or t_final < dt:
-        raise ValueError("require 0 < dt <= t_final")
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
+                      t_final: float = 10.0) -> CovarianceMatrix:
+    """Exact solution of dV/dt = A V + V A^T + D from V0 at time t_final.
 
-    def rhs(V):
-        return A @ V + V @ A.T + D
-
-    V = V0.data.copy()
-    n_full, rem = divmod(t_final, dt)
-    steps = [dt] * int(round(n_full))
-    if rem > 1e-12 * dt:
-        steps.append(rem)
-    for h in steps:
-        k1 = rhs(V)
-        k2 = rhs(V + 0.5 * h * k1)
-        k3 = rhs(V + 0.5 * h * k2)
-        k4 = rhs(V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        V = 0.5 * (V + V.T)
-        if not np.all(np.isfinite(V)):
-            raise NumericalError("moment integration diverged (non-finite values)")
-    return CovarianceMatrix(V)
+    V(t) = e^{At} (V0 - V_inf) e^{A^T t} + V_inf, with V_inf from
+    ``lyapunov_steady``; A must therefore be Hurwitz, and a non-Hurwitz A
+    raises NoStableSolutionError.
+    """
+    if t_final < 0:
+        raise ValueError("require t_final >= 0")
+    V_inf = lyapunov_steady(A, D).data
+    E = _expm(t_final * np.asarray(A, dtype=float))
+    V = E @ (V0.data - V_inf) @ E.T + V_inf
+    return CovarianceMatrix(0.5 * (V + V.T))

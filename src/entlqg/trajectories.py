@@ -3,14 +3,16 @@
 The conditional covariance is deterministic. Started on a fixed point of its
 Riccati equation (the default) it stays constant; started anywhere else it
 is propagated exactly, step by step, by the linear-fractional map of the
-Riccati flow. The conditional means follow a linear SDE driven by the
-measurement noise and are stepped for all trajectories at once by an
-exponential-midpoint rule: the drift is applied exactly, as e^{A_cl dt}, and
-each increment is carried through half a step of it. Noise is drawn in blocks
-of time steps, so peak memory does not depend on the horizon; where the noise
-coefficient is exactly zero, none is drawn. In steady state the unconditional
-covariance decomposes as the conditional covariance plus the ensemble second
-moment of the means, which is what the statistics returned here verify.
+Riccati flow, and held constant from the end of the first noise block on
+which it reaches a fixed point. The conditional means follow a linear SDE
+driven by the measurement noise and are stepped for all trajectories at once
+by an exponential-midpoint rule: the drift is applied exactly, as
+e^{A_cl dt}, and each increment is carried through half a step of it. Noise
+is drawn in blocks of time steps, so peak memory does not depend on the
+horizon; where the noise coefficient is exactly zero, none is drawn. In
+steady state the unconditional covariance decomposes as the conditional
+covariance plus the ensemble second moment of the means, which is what the
+statistics returned here verify.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PlantModel, diffusion_matrix, drift_matrix, is_hurwitz
+from .dynamics import PlantModel, _expm, diffusion_matrix, drift_matrix, is_hurwitz
 from .errors import StabilityError, TrajectoryDivergenceError
 from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
@@ -108,20 +110,6 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential: Taylor series of M / 2^s (1-norm <= 1/2), squared s times."""
-    norm = np.abs(M).sum(axis=0).max()
-    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    X = M / 2.0**s
-    E = term = np.eye(len(M))
-    for k in range(1, 19):   # truncation below 0.5^19 / 19! ~ 2e-23
-        term = term @ X / k
-        E = E + term
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
 def _riccati_powers(A, D, C, Gamma, dt: float) -> np.ndarray:
     """Powers Phi^j, j = 0.._BLOCK, of the exact Riccati step Phi = exp(H dt).
 
@@ -158,7 +146,9 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     operation). On a fixed point, where max|dV/dt| <= RICCATI_DERIVATIVE_TOL,
     it is held constant and ``v_c_final`` equals ``v0`` exactly. Otherwise
     it is propagated exactly by V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1
-    with Phi = exp(H dt), one 4N x 4N exponential per run.
+    with Phi = exp(H dt), one 4N x 4N exponential per run, until the end of
+    the first ``_BLOCK``-step block where the same fixed-point rule holds;
+    from there it is held, as if the run had started on it.
 
     Conditional means start at zero and follow
     d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C and
@@ -190,47 +180,59 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
             f"constant ({slowest:.2f}); statistics may carry transient bias",
             stacklevel=2)
 
+    def on_fixed_point(V):
+        return np.max(np.abs(riccati_rhs(A, D, C, Gamma, V))) <= RICCATI_DERIVATIVE_TOL
+
     n_steps, dt = cfg.n_steps, cfg.dt
     V0 = riccati_steady(plant, u).data if v0 is None else v0.data
-    powers = None
-    if np.max(np.abs(riccati_rhs(A, D, C, Gamma, V0))) > RICCATI_DERIVATIVE_TOL:
-        powers = _riccati_powers(A, D, C, Gamma, dt)
+    powers = None if on_fixed_point(V0) else _riccati_powers(A, D, C, Gamma, dt)
 
     k_burn = int(cfg.burn_in * n_steps)
     n = A.shape[0]
     half = _expm(0.5 * dt * A_cl)
     Phit = (half @ half).T
     Ht = np.sqrt(dt) * half.T
-    K0 = V0 @ C.T + Gamma.T + BF
-    Kt = K0.T @ Ht
+
+    def held_Kt(V):
+        # Noise factor of a held covariance: K^T carried through half a step.
+        return (V @ C.T + Gamma.T + BF).T @ Ht
+
+    Kt = held_Kt(V0)
     mean_by = np.zeros((cfg.n_traj, n))
     outer_by = np.zeros((cfg.n_traj, n, n))
     # Even row chunks, so that no chunk holds a lone trajectory: NumPy would
     # step it on its matrix-vector path, whose last bits differ.
     n_chunks = -(-cfg.n_traj // _ROWS)
     edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
-    if powers is None and not np.any(K0):
+    if powers is None and not np.any(Kt):
         edges = []   # no noise reaches the means: they stay exactly zero
     V = V0
     for lo, hi in zip(edges, edges[1:]):
         rngs = [_trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
         xi = np.empty((hi - lo, _BLOCK, C.shape[0]))
         X = np.zeros((hi - lo, n))
+        step = np.empty_like(X)
         SX = np.zeros_like(X)
         SXX = np.zeros((hi - lo, n, n))
         V = V0
+        moving = powers is not None
         for start in range(0, n_steps, _BLOCK):
             b = min(_BLOCK, n_steps - start)
             for draw, rng in zip(xi, rngs):
                 rng.standard_normal(out=draw[:b])
-            if powers is not None:
+            if moving:
                 Vs = _covariance_block(V, powers[:b + 1])
                 V = Vs[b]
                 Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
             # Time-major noise terms, overwritten in place by the states.
             F = np.matmul(xi[:, :b].transpose(1, 0, 2), Kt)
+            if moving and on_fixed_point(V):
+                # The start rule, applied at the block's end: hold V from here.
+                moving = False
+                Kt = held_Kt(V)
             for f in F:
-                f += X @ Phit
+                np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit
+                f += step
                 X = f
             if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
                 bad = lo + int(np.abs(X).max(axis=1).argmax())

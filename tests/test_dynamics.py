@@ -113,31 +113,32 @@ class TestIntegrateMoments:
         plant = build_plant(NopoParams(0.25))
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         Vss = lyapunov_steady(A, D)
-        V = integrate_moments(A, D, Vss, dt=1e-3, t_final=5.0)
+        V = integrate_moments(A, D, Vss, t_final=5.0)
         assert np.max(np.abs(V.data - Vss.data)) <= 1e-9
 
     def test_converges_from_vacuum(self):
         plant = build_plant(NopoParams(0.25))
         A, D = drift_matrix(plant), diffusion_matrix(plant)
-        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), dt=1e-3, t_final=50.0)
+        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), t_final=50.0)
         Vss = lyapunov_steady(A, D)
         assert np.max(np.abs(V.data - Vss.data)) <= 1e-8
 
     def test_pure_decay(self):
         V0 = CovarianceMatrix(np.diag([2.0, 1.0, 1.0, 2.0]))
-        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, dt=1e-3, t_final=3.0)
+        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=3.0)
         assert np.max(np.abs(V.data - V0.data * np.exp(-3.0))) <= 1e-8
 
     def test_horizon_not_a_step_multiple(self):
-        # three full steps plus a 0.1 remainder; tolerance sized for the
-        # coarse-step truncation error, the point is the horizon bookkeeping
         V0 = CovarianceMatrix(np.diag([2.0, 1.0, 1.0, 2.0]))
-        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, dt=0.3,
-                              t_final=1.0)
+        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=1.0)
         assert np.max(np.abs(V.data - V0.data * np.exp(-1.0))) <= 2e-4
-        coarse = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, dt=0.3,
-                                   t_final=0.9)
+        coarse = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=0.9)
         assert np.max(np.abs(coarse.data - V0.data * np.exp(-0.9))) <= 2e-4
+
+    def test_non_hurwitz_drift_rejected(self):
+        with pytest.raises(NoStableSolutionError):
+            integrate_moments(nopo_drift(0.5), np.eye(4) / 2,
+                              CovarianceMatrix.vacuum(2), t_final=1.0)
 
     @pytest.mark.parametrize("chi", [0.0, 0.15, 0.3, 0.45])
     def test_convergence_across_couplings(self, chi):
@@ -146,8 +147,7 @@ class TestIntegrateMoments:
         plant = build_plant(NopoParams(chi))
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         horizon = max(60.0, 18.0 / (1.0 - 2.0 * chi))
-        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), dt=5e-3,
-                              t_final=horizon)
+        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), t_final=horizon)
         assert np.max(np.abs(V.data - lyapunov_steady(A, D).data)) <= 1e-6
 
     def test_open_loop_closed_form_matches_solver(self):

@@ -9,7 +9,9 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
-from entlqg.trajectories import _BLOCK, _riccati_powers, _trajectory_rng
+from entlqg.trajectories import (_BLOCK, _covariance_block, _riccati_powers,
+                                 _trajectory_rng)
+from entlqg.unravelling import RICCATI_DERIVATIVE_TOL
 
 OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
@@ -138,6 +140,40 @@ def _expm_by_eig(M):
     return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
 
 
+def _midpoint_reference(plant, u, gain, cfg, v0=None):
+    """Per-step exponential-midpoint means on the simulator's own draws.
+
+    From ``v0`` the covariance is stepped one linear-fractional map at a
+    time over the whole horizon; with ``v0=None`` it is riccati_steady's W,
+    held. Returns the time-averaged means and outer products, and the final
+    covariance.
+    """
+    n_steps, dt = cfg.n_steps, cfg.dt
+    k_burn = int(cfg.burn_in * n_steps)
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
+    meas = measurement_model(plant, u)
+    A_cl = A + gain.BF @ meas.C
+    half = _expm_by_eig(0.5 * dt * A_cl)
+    Phi_mean = half @ half
+    V = (riccati_steady(plant, u) if v0 is None else v0).data
+    n = len(V)
+    Phi = _riccati_powers(A, D, meas.C, meas.Gamma, dt)[1]
+    noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
+                      for i in range(cfg.n_traj)]) * np.sqrt(dt)
+    X = np.zeros((cfg.n_traj, n))
+    SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, n, n))
+    for k in range(n_steps):
+        K = V @ meas.C.T + meas.Gamma.T + gain.BF
+        X = X @ Phi_mean.T + noise[:, k] @ (half @ K).T
+        if v0 is not None:
+            V = ((Phi[:n, :n] @ V + Phi[:n, n:])
+                 @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
+        if k >= k_burn:
+            SX += X
+            SXX += np.einsum("ci,cj->cij", X, X)
+    return SX / (n_steps - k_burn), SXX / (n_steps - k_burn), V
+
+
 class TestMeanRecursion:
     @pytest.mark.parametrize("transient", [False, True])
     def test_matches_per_step_midpoint_reference(self, transient):
@@ -148,36 +184,45 @@ class TestMeanRecursion:
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.LOCAL_III))
         cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13, burn_in=0.5)
-        n_steps, dt = cfg.n_steps, cfg.dt
-        k_burn = int(cfg.burn_in * n_steps)
+        n_steps, k_burn = cfg.n_steps, int(cfg.burn_in * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
         v0 = open_loop_V(p) if transient else None
+        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
+        refs = _midpoint_reference(plant, u, gain, cfg, v0)
+        for got, ref in zip((stats.mean_by_traj, stats.outer_by_traj,
+                             stats.v_c_final.data), refs):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_covariance_held_from_first_fixed_point_block(self, monkeypatch):
+        # Switched on from the open-loop state, the covariance reaches its
+        # fixed point mid-run; from the end of that block it is held, and
+        # the means match a reference that propagates it at every step.
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
+        cfg = SimConfig(dt=1e-2, t_final=40.0, n_traj=8, seed=23)
+        ends = []
+
+        def recording_block(V, powers):
+            Vs = _covariance_block(V, powers)
+            ends.append(Vs[-1])
+            return Vs
+
+        monkeypatch.setattr("entlqg.trajectories._covariance_block", recording_block)
+        v0 = open_loop_V(p)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
 
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
-        A_cl = A + gain.BF @ meas.C
-        half = _expm_by_eig(0.5 * dt * A_cl)
-        Phi_mean = half @ half
-        V = (riccati_steady(plant, u) if v0 is None else v0).data
-        Phi = _riccati_powers(A, D, meas.C, meas.Gamma, dt)[1]
-        noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
-                          for i in range(cfg.n_traj)]) * np.sqrt(dt)
-        X = np.zeros((cfg.n_traj, 4))
-        SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, 4, 4))
-        for k in range(n_steps):
-            K = V @ meas.C.T + meas.Gamma.T + gain.BF
-            X = X @ Phi_mean.T + noise[:, k] @ (half @ K).T
-            if transient:
-                V = ((Phi[:4, :4] @ V + Phi[:4, 4:])
-                     @ np.linalg.inv(Phi[4:, :4] @ V + Phi[4:, 4:]))
-            if k >= k_burn:
-                SX += X
-                SXX += np.einsum("ci,cj->cij", X, X)
-        for got, ref in ((stats.mean_by_traj, SX / (n_steps - k_burn)),
-                         (stats.outer_by_traj, SXX / (n_steps - k_burn)),
-                         (stats.v_c_final.data, V)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        rates = [np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) for V in ends]
+        assert len(ends) < -(-cfg.n_steps // _BLOCK)   # stopped mid-run
+        assert min(rates[:-1]) > RICCATI_DERIVATIVE_TOL >= rates[-1]
+        assert np.array_equal(stats.v_c_final.data, ends[-1])
+        W = riccati_steady(plant, u).data
+        assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
+        _, ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0)
+        ref = ref_outer.mean(axis=0)
+        assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III])
     def test_stationary_covariance_at_largest_step(self, scheme):
@@ -341,6 +386,12 @@ class TestValidation:
             SimConfig(burn_in=1.0)
         with pytest.raises(ValueError):
             SimConfig(t_final=1e-5, dt=1e-3)
+
+    def test_largest_seed_runs(self):
+        cfg = SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=2**64 - 1)
+        stats = simulate_conditional(build_plant(NopoParams(0.25)), HETERODYNE, ZERO_GAIN,
+                                     cfg, v0=open_loop_V(NopoParams(0.25)))
+        assert np.all(np.isfinite(stats.mean_outer)) and np.any(stats.mean_outer)
 
     def test_short_horizon_warns(self):
         plant = build_plant(NopoParams(0.25))
