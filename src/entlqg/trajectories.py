@@ -2,9 +2,10 @@
 
 The conditional covariance is deterministic. Started on a fixed point of its
 Riccati equation (the default) it stays constant; started anywhere else it
-is propagated exactly, step by step, by the linear-fractional map of the
-Riccati flow, and held constant from the end of the first noise block on
-which it reaches a fixed point. The conditional means follow a linear SDE
+is propagated exactly, once per noise block for all trajectories, by the
+linear-fractional map of the Riccati flow that ``riccati_steady`` relaxes
+along, and held constant from the end of the first block on which it
+reaches a fixed point. The conditional means follow a linear SDE
 driven by the measurement noise and are stepped for all trajectories at once
 by an exponential-midpoint rule: the drift is applied exactly, as
 e^{A_cl dt}, and each increment is carried through half a step of it. Noise
@@ -27,7 +28,7 @@ from .errors import StabilityError, TrajectoryDivergenceError
 from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
 from .unravelling import (RICCATI_DERIVATIVE_TOL, Unravelling, measurement_model,
-                          riccati_rhs, riccati_steady)
+                          riccati_map, riccati_propagator, riccati_rhs, riccati_steady)
 
 _BLOCK = 256              # time steps per noise block
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
@@ -110,32 +111,6 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _riccati_powers(A, D, C, Gamma, dt: float) -> np.ndarray:
-    """Powers Phi^j, j = 0.._BLOCK, of the exact Riccati step Phi = exp(H dt).
-
-    With Omega = A - Gamma^T C, the covariance equation reads
-    dV/dt = Omega V + V Omega^T + (D - Gamma^T Gamma) - V C^T C V, and
-    V = X Y^-1 solves it exactly when d[X; Y]/dt = H [X; Y] with
-    H = [[Omega, D - Gamma^T Gamma], [C^T C, -Omega^T]].
-    """
-    Omega = A - Gamma.T @ C
-    Phi = _expm(dt * np.block([[Omega, D - Gamma.T @ Gamma], [C.T @ C, -Omega.T]]))
-    powers = np.empty((_BLOCK + 1, *Phi.shape))
-    powers[0] = np.eye(len(Phi))
-    for j in range(_BLOCK):
-        powers[j + 1] = powers[j] @ Phi
-    return powers
-
-
-def _covariance_block(V: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """V_j = (P11 V + P12)(P21 V + P22)^-1 for each power P = Phi^j in the block."""
-    n = len(V)
-    XY = powers @ np.vstack([V, np.eye(n)])
-    # X Y^-1 = (Y^-T X^T)^T, and V is symmetric.
-    Vs = np.linalg.solve(XY[:, n:].transpose(0, 2, 1), XY[:, :n].transpose(0, 2, 1))
-    return 0.5 * (Vs + Vs.transpose(0, 2, 1))
-
-
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                          cfg: SimConfig,
                          v0: CovarianceMatrix | None = None) -> TrajectoryStats:
@@ -146,9 +121,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     operation). On a fixed point, where max|dV/dt| <= RICCATI_DERIVATIVE_TOL,
     it is held constant and ``v_c_final`` equals ``v0`` exactly. Otherwise
     it is propagated exactly by V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1
-    with Phi = exp(H dt), one 4N x 4N exponential per run, until the end of
-    the first ``_BLOCK``-step block where the same fixed-point rule holds;
-    from there it is held, as if the run had started on it.
+    with Phi = exp(H dt), one 4N x 4N exponential per run and one batched
+    ``riccati_map`` per block, until the end of the first ``_BLOCK``-step
+    block where the same fixed-point rule holds; from there it is held, as
+    if the run had started on it.
 
     Conditional means start at zero and follow
     d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C and
@@ -160,10 +136,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     own Philox stream, in blocks of ``_BLOCK`` steps; the draws are
     bit-identical to one draw over the whole horizon. When the covariance is
     held constant and K is exactly zero, nothing is drawn: the means and
-    every aggregate are exactly zero. Peak memory grows with the number of
-    trajectories (up to ``_ROWS`` advanced together) but not with the
-    horizon. Statistics are accumulated after the burn-in fraction of the
-    horizon.
+    every aggregate are exactly zero. Each block steps the ensemble in row
+    chunks of up to ``_ROWS`` trajectories, so peak memory grows with the
+    number of trajectories but not with the horizon. Statistics are
+    accumulated after the burn-in fraction of the horizon.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -184,8 +160,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         return np.max(np.abs(riccati_rhs(A, D, C, Gamma, V))) <= RICCATI_DERIVATIVE_TOL
 
     n_steps, dt = cfg.n_steps, cfg.dt
-    V0 = riccati_steady(plant, u).data if v0 is None else v0.data
-    powers = None if on_fixed_point(V0) else _riccati_powers(A, D, C, Gamma, dt)
+    V = riccati_steady(plant, u).data if v0 is None else v0.data
+    moving = not on_fixed_point(V)
+    if moving:
+        Phi = riccati_propagator(A, D, C, Gamma, dt)
+        powers = np.empty((_BLOCK + 1, *Phi.shape))
+        powers[0] = np.eye(len(Phi))
+        for j in range(_BLOCK):
+            powers[j + 1] = powers[j] @ Phi
 
     k_burn = int(cfg.burn_in * n_steps)
     n = A.shape[0]
@@ -197,39 +179,30 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         # Noise factor of a held covariance: K^T carried through half a step.
         return (V @ C.T + Gamma.T + BF).T @ Ht
 
-    Kt = held_Kt(V0)
-    mean_by = np.zeros((cfg.n_traj, n))
-    outer_by = np.zeros((cfg.n_traj, n, n))
+    Kt = held_Kt(V)
     # Even row chunks, so that no chunk holds a lone trajectory: NumPy would
     # step it on its matrix-vector path, whose last bits differ.
     n_chunks = -(-cfg.n_traj // _ROWS)
     edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
-    if powers is None and not np.any(Kt):
-        edges = []   # no noise reaches the means: they stay exactly zero
-    V = V0
-    for lo, hi in zip(edges, edges[1:]):
-        rngs = [_trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
-        xi = np.empty((hi - lo, _BLOCK, C.shape[0]))
-        X = np.zeros((hi - lo, n))
-        step = np.empty_like(X)
-        SX = np.zeros_like(X)
-        SXX = np.zeros((hi - lo, n, n))
-        V = V0
-        moving = powers is not None
-        for start in range(0, n_steps, _BLOCK):
-            b = min(_BLOCK, n_steps - start)
-            for draw, rng in zip(xi, rngs):
+    if not moving and not np.any(Kt):
+        edges = [0]   # no noise reaches the means: they stay exactly zero
+    rngs = [_trajectory_rng(cfg.seed, i) for i in range(edges[-1])]
+    X_all = np.zeros((cfg.n_traj, n))
+    sum_x = np.zeros((cfg.n_traj, n))
+    sum_xx = np.zeros((cfg.n_traj, n, n))
+    for start in range(0, n_steps, _BLOCK):
+        b = min(_BLOCK, n_steps - start)
+        if moving:
+            Vs = riccati_map(V, powers[:b + 1])
+            V = Vs[b]
+            Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
+        for lo, hi in zip(edges, edges[1:]):
+            xi = np.empty((hi - lo, _BLOCK, C.shape[0]))
+            for draw, rng in zip(xi, rngs[lo:hi]):
                 rng.standard_normal(out=draw[:b])
-            if moving:
-                Vs = _covariance_block(V, powers[:b + 1])
-                V = Vs[b]
-                Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
             # Time-major noise terms, overwritten in place by the states.
             F = np.matmul(xi[:, :b].transpose(1, 0, 2), Kt)
-            if moving and on_fixed_point(V):
-                # The start rule, applied at the block's end: hold V from here.
-                moving = False
-                Kt = held_Kt(V)
+            X, step = X_all[lo:hi], np.empty((hi - lo, n))
             for f in F:
                 np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit
                 f += step
@@ -238,11 +211,16 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                 bad = lo + int(np.abs(X).max(axis=1).argmax())
                 raise TrajectoryDivergenceError(
                     f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
+            X_all[lo:hi] = X
             kept = F[max(0, k_burn - start):]
-            SX += kept.sum(axis=0)
-            SXX += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
-        mean_by[lo:hi] = SX / (n_steps - k_burn)
-        outer_by[lo:hi] = SXX / (n_steps - k_burn)
+            sum_x[lo:hi] += kept.sum(axis=0)
+            sum_xx[lo:hi] += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
+        if moving and on_fixed_point(V):
+            # The start rule, applied at the block's end: hold V from here.
+            moving = False
+            Kt = held_Kt(V)
+    mean_by = sum_x / (n_steps - k_burn)
+    outer_by = sum_xx / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PlantModel, diffusion_matrix, drift_matrix, lyapunov_steady
+from .dynamics import PlantModel, _expm, diffusion_matrix, drift_matrix, lyapunov_steady
 from .errors import (InvalidUnravellingError, NoStableSolutionError,
                      NotPositiveSemidefiniteError, NumericalError, RecoveryError)
 from .gaussian import CovarianceMatrix, symplectic_form
@@ -116,44 +116,65 @@ def measurement_model(plant: PlantModel, u: Unravelling) -> MeasurementModel:
 
 def riccati_rhs(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
                 V: np.ndarray) -> np.ndarray:
-    """Right-hand side of the conditional covariance equation.
+    """Right-hand side of the conditional covariance equation, for symmetric V.
 
-    dV/dt = A V + V A^T + D - (V C^T + Gamma^T)(C V + Gamma)
+    dV/dt = A V + V A^T + D - K K^T, K = V C^T + Gamma^T = (C V + Gamma)^T.
     """
+    AV = A @ V
     K = V @ C.T + Gamma.T
-    return A @ V + V @ A.T + D - K @ (C @ V + Gamma)
+    return AV + AV.T + D - K @ K.T
+
+
+def riccati_propagator(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
+                       dt: float) -> np.ndarray:
+    """Phi = exp(H dt), the exact step of the conditional covariance equation.
+
+    With Omega = A - Gamma^T C, V = X Y^-1 solves the equation
+    dV/dt = Omega V + V Omega^T + (D - Gamma^T Gamma) - V C^T C V exactly
+    when d[X; Y]/dt = H [X; Y], H = [[Omega, D - Gamma^T Gamma], [C^T C, -Omega^T]].
+    """
+    Omega = A - Gamma.T @ C
+    return _expm(dt * np.block([[Omega, D - Gamma.T @ Gamma], [C.T @ C, -Omega.T]]))
+
+
+def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 for one Phi or a stack of them."""
+    n = len(V)
+    XY = Phi @ np.concatenate((V, np.eye(n)))
+    # X Y^-1 = (Y^-T X^T)^T, and V is symmetric.
+    Vs = np.linalg.solve(XY[..., n:, :].swapaxes(-1, -2), XY[..., :n, :].swapaxes(-1, -2))
+    return 0.5 * (Vs + Vs.swapaxes(-1, -2))
 
 
 def riccati_steady(plant: PlantModel, u: Unravelling, dt: float = 0.01) -> CovarianceMatrix:
     """Stabilizing steady state of the conditional covariance equation.
 
-    Solved by relaxation: RK4 integration of the covariance ODE from the
-    unconditional steady state until the time derivative vanishes, which is
-    guaranteed to land on the stabilizing solution when one exists. The
-    converged matrix is then checked against the equivalent algebraic form
+    Solved by relaxation along the exact Riccati flow: from the unconditional
+    steady state, V is stepped by ``riccati_map`` with Phi = exp(H dt) until
+    max|dV/dt| <= RICCATI_DERIVATIVE_TOL, which is guaranteed to land on the
+    stabilizing solution when one exists. dt must be positive: a backward
+    flow relaxes to the anti-stabilizing solution instead. The converged
+    matrix is then checked against the equivalent algebraic form
     0 = Omega W + W Omega^T - W C^T C W + E E^T with Omega = A - Gamma^T C
     and E = Sigma C^T / 2.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     C, Gamma = meas.C, meas.Gamma
     V = lyapunov_steady(A, D).data
+    Phi = riccati_propagator(A, D, C, Gamma, dt)
 
-    converged = False
     for _ in range(RICCATI_MAX_STEPS):
-        k1 = riccati_rhs(A, D, C, Gamma, V)
-        if np.max(np.abs(k1)) <= RICCATI_DERIVATIVE_TOL:
-            converged = True
+        rate = np.abs(riccati_rhs(A, D, C, Gamma, V)).max()
+        if rate <= RICCATI_DERIVATIVE_TOL:
             break
-        k2 = riccati_rhs(A, D, C, Gamma, V + 0.5 * dt * k1)
-        k3 = riccati_rhs(A, D, C, Gamma, V + 0.5 * dt * k2)
-        k4 = riccati_rhs(A, D, C, Gamma, V + dt * k3)
-        V = V + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        V = 0.5 * (V + V.T)
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(rate):
             raise NoStableSolutionError("Riccati relaxation diverged")
-    if not converged:
+        V = riccati_map(V, Phi)
+    else:
         raise NoStableSolutionError(
             f"Riccati relaxation did not converge within {RICCATI_MAX_STEPS} steps")
 

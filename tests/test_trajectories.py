@@ -9,9 +9,8 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
-from entlqg.trajectories import (_BLOCK, _covariance_block, _riccati_powers,
-                                 _trajectory_rng)
-from entlqg.unravelling import RICCATI_DERIVATIVE_TOL
+from entlqg.trajectories import _BLOCK, _trajectory_rng
+from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
 
 OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
@@ -157,7 +156,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0=None):
     Phi_mean = half @ half
     V = (riccati_steady(plant, u) if v0 is None else v0).data
     n = len(V)
-    Phi = _riccati_powers(A, D, meas.C, meas.Gamma, dt)[1]
+    Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
     noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
                       for i in range(cfg.n_traj)]) * np.sqrt(dt)
     X = np.zeros((cfg.n_traj, n))
@@ -204,11 +203,11 @@ class TestMeanRecursion:
         ends = []
 
         def recording_block(V, powers):
-            Vs = _covariance_block(V, powers)
+            Vs = riccati_map(V, powers)
             ends.append(Vs[-1])
             return Vs
 
-        monkeypatch.setattr("entlqg.trajectories._covariance_block", recording_block)
+        monkeypatch.setattr("entlqg.trajectories.riccati_map", recording_block)
         v0 = open_loop_V(p)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
 
@@ -223,6 +222,25 @@ class TestMeanRecursion:
         _, ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0)
         ref = ref_outer.mean(axis=0)
         assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_covariance_path_computed_once_per_block(self, monkeypatch):
+        # The transient path is shared by every row chunk: its block count
+        # does not grow with the number of trajectories.
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
+        calls = []
+
+        def counted(V, powers):
+            calls.append(V)
+            return riccati_map(V, powers)
+
+        monkeypatch.setattr("entlqg.trajectories.riccati_map", counted)
+        for n_traj in (64, 512, 1000):
+            calls.clear()
+            cfg = SimConfig(dt=1e-2, t_final=40.0, n_traj=n_traj, seed=3)
+            simulate_conditional(plant, u, gain, cfg, v0=open_loop_V(p))
+            assert len(calls) == 9
 
     @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III])
     def test_stationary_covariance_at_largest_step(self, scheme):

@@ -4,17 +4,20 @@ import pytest
 from entlqg import (HETERODYNE, HOMODYNE_Q, InvalidUnravellingError,
                     NoStableSolutionError, NopoParams, NotPositiveSemidefiniteError,
                     PlantModel, Unravelling, build_plant, cbar, diffusion_matrix,
-                    drift_matrix, lmi_feasible, measurement_model,
+                    drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
                     open_loop_V, optimal_nonlocal_alpha_beta, psd_sqrt,
-                    recover_unravelling, riccati_steady,
+                    recover_unravelling, riccati_rhs, riccati_steady,
                     symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
+from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, riccati_map,
+                                riccati_propagator)
 
 OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
                                     [0, 0, 1, 1], [0, 0, 1, 1]])
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
+SIGMA_X = Unravelling(-np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def random_unravelling(rng, scale=1.0):
@@ -126,7 +129,87 @@ class TestMeasurementModel:
             measurement_model(plant, Unravelling(np.zeros((3, 3), dtype=complex)))
 
 
+def rk4_relaxation(plant, u, dt=0.01):
+    """Oracle: RK4 integration of the covariance equation from the open-loop
+    state until max|dV/dt| <= RICCATI_DERIVATIVE_TOL."""
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
+    meas = measurement_model(plant, u)
+
+    def rhs(V):
+        K = V @ meas.C.T + meas.Gamma.T
+        return A @ V + V @ A.T + D - K @ (meas.C @ V + meas.Gamma)
+
+    V = lyapunov_steady(A, D).data
+    for _ in range(10**6):
+        k1 = rhs(V)
+        if np.max(np.abs(k1)) <= RICCATI_DERIVATIVE_TOL:
+            return V
+        k2 = rhs(V + 0.5 * dt * k1)
+        k3 = rhs(V + 0.5 * dt * k2)
+        k4 = rhs(V + dt * k3)
+        V = V + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        V = 0.5 * (V + V.T)
+    raise AssertionError("RK4 oracle did not converge")
+
+
+class TestRiccatiRhs:
+    def test_symmetric_form_matches_general_form(self):
+        rng = np.random.default_rng(31)
+        plant = build_plant(NopoParams(0.3))
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        for u in (HOMODYNE_Q, HETERODYNE, random_unravelling(rng)):
+            meas = measurement_model(plant, u)
+            C, Gamma = meas.C, meas.Gamma
+            for _ in range(10):
+                R = rng.normal(size=(4, 4))
+                V = R + R.T
+                K = V @ C.T + Gamma.T
+                general = A @ V + V @ A.T + D - K @ (C @ V + Gamma)
+                got = riccati_rhs(A, D, C, Gamma, V)
+                assert np.max(np.abs(got - general)) <= 1e-14 * np.max(np.abs(general))
+                assert np.array_equal(got, got.T)
+
+
 class TestRiccatiSteady:
+    @pytest.mark.parametrize("chi, u", [(0.25, HETERODYNE), (0.1, SIGMA_X)])
+    def test_matches_rk4_relaxation(self, chi, u):
+        plant = build_plant(NopoParams(chi))
+        W = riccati_steady(plant, u).data
+        assert np.max(np.abs(W - rk4_relaxation(plant, u))) <= 1e-10
+
+    @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("u", [HOMODYNE_Q, HETERODYNE, SIGMA_X,
+                                   random_unravelling(np.random.default_rng(29))],
+                             ids=["homodyne-q", "heterodyne", "sigma-x", "random"])
+    def test_result_meets_the_simulator_hold_rule(self, chi, u):
+        plant = build_plant(NopoParams(chi))
+        W = riccati_steady(plant, u).data
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, u)
+        assert np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, W))) <= RICCATI_DERIVATIVE_TOL
+
+    def test_negative_step_rejected(self):
+        # Stepped backward, the exact flow relaxes to the anti-stabilizing
+        # solution: it solves the algebraic equation, but is unphysical.
+        plant = build_plant(NopoParams(0.3))
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, HETERODYNE)
+        Phi = riccati_propagator(A, D, meas.C, meas.Gamma, -0.01)
+        V = lyapunov_steady(A, D).data
+        for _ in range(20000):
+            if np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) <= 1e-10:
+                break
+            V = riccati_map(V, Phi)
+        assert np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) <= 1e-10
+        assert lmi_feasible(CovarianceMatrix(V), plant).physical_margin < -0.5
+        with pytest.raises(ValueError):
+            riccati_steady(plant, HETERODYNE, dt=-0.01)
+
+    def test_zero_step_rejected(self):
+        # dt = 0 would never move and run all RICCATI_MAX_STEPS steps
+        with pytest.raises(ValueError):
+            riccati_steady(build_plant(NopoParams(0.3)), HETERODYNE, dt=0.0)
+
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     def test_optimal_unravelling_reaches_family_pattern(self, chi):
         p = NopoParams(chi)
