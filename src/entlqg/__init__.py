@@ -7,13 +7,11 @@ stationary state. All logarithmic quantities are in bits (base 2).
 """
 
 from .errors import (EntlqgError, InvalidUnravellingError, NoStableSolutionError,
-                     NotPositiveSemidefiniteError, NumericalError,
-                     OptimalityViolationError, RecoveryError, StabilityError,
-                     TrajectoryDivergenceError, UnphysicalStateError)
-from .gaussian import (CovarianceMatrix, SymplecticSpectrum, TwoModeBlocks,
-                       determinant_symplectic_eigenvalues, epr_variance, is_physical,
+                     NotPositiveSemidefiniteError, NumericalError, RecoveryError,
+                     StabilityError, TrajectoryDivergenceError, UnphysicalStateError)
+from .gaussian import (CovarianceMatrix, SymplecticSpectrum, epr_variance, is_physical,
                        log_negativity, partial_transpose, symplectic_eigenvalues,
-                       symplectic_form, two_mode_blocks, von_neumann_entropy)
+                       symplectic_form, von_neumann_entropy)
 from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
                        is_hurwitz, lyapunov_steady)
 from .unravelling import (HETERODYNE, HOMODYNE_Q, LmiReport, MeasurementModel,
@@ -23,12 +21,12 @@ from .unravelling import (HETERODYNE, HOMODYNE_Q, LmiReport, MeasurementModel,
 from .feedback import (ClosedLoop, FeedbackGain, closed_loop, heterodyne_gain,
                        heterodyne_stable, homodyne_gain, homodyne_stable,
                        optimal_gain)
-from .nopo import (CHI_MAX, CURVE_SCHEMES, NonlocalOptimumReport, NopoParams,
-                   SchemeId, SchemeResult, build_plant, closed_loop_for_scheme,
-                   cost_matrix, heterodyne_closed_form_V, heterodyne_optimal_mu,
+from .nopo import (CHI_MAX, CURVE_SCHEMES, NopoParams, SchemeId, SchemeResult,
+                   build_plant, closed_loop_for_scheme, cost_matrix,
+                   heterodyne_closed_form_V, heterodyne_optimal_mu,
                    homodyne_closed_form_V, open_loop_V, optimal_nonlocal,
                    optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
-                   scheme_realization, symmetric_family_W, verify_nonlocal_optimum)
+                   scheme_realization, symmetric_family_W)
 from .trajectories import (SimConfig, TrajectoryStats, regulation_cost,
                            regulation_cost_sem, simulate_conditional)
 
@@ -38,14 +36,12 @@ __all__ = [
     "CHI_MAX", "CURVE_SCHEMES", "ClosedLoop", "CovarianceMatrix",
     "EntlqgError", "FeedbackGain", "HETERODYNE", "HOMODYNE_Q",
     "InvalidUnravellingError", "LmiReport", "MeasurementModel",
-    "NoStableSolutionError", "NonlocalOptimumReport", "NopoParams",
-    "NotPositiveSemidefiniteError", "NumericalError", "OptimalityViolationError",
-    "PlantModel", "RecoveryError", "SchemeId", "SchemeResult", "SimConfig",
-    "StabilityError", "SymplecticSpectrum", "TrajectoryDivergenceError",
-    "TrajectoryStats", "TwoModeBlocks", "Unravelling", "UnphysicalStateError",
+    "NoStableSolutionError", "NopoParams", "NotPositiveSemidefiniteError",
+    "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
+    "SimConfig", "StabilityError", "SymplecticSpectrum", "TrajectoryDivergenceError",
+    "TrajectoryStats", "Unravelling", "UnphysicalStateError",
     "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "cost_matrix",
-    "determinant_symplectic_eigenvalues", "diffusion_matrix",
-    "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",
+    "diffusion_matrix", "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",
     "heterodyne_optimal_mu", "heterodyne_stable", "homodyne_closed_form_V",
     "homodyne_gain", "homodyne_stable", "integrate_moments", "is_hurwitz",
     "is_physical", "lmi_feasible", "log_negativity", "lyapunov_steady",
@@ -54,6 +50,5 @@ __all__ = [
     "psd_sqrt", "recover_unravelling", "regulation_cost", "regulation_cost_sem",
     "riccati_rhs", "riccati_steady", "s_matrix", "scheme_curves",
     "scheme_realization", "simulate_conditional", "symmetric_family_W",
-    "symplectic_eigenvalues", "symplectic_form", "two_mode_blocks", "u_matrix",
-    "verify_nonlocal_optimum", "von_neumann_entropy",
+    "symplectic_eigenvalues", "symplectic_form", "u_matrix", "von_neumann_entropy",
 ]

@@ -47,7 +47,7 @@ def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
 
 def _validate_chi(ctx, param, value):
     if value is None or not 0.0 <= value <= CHI_MAX:
-        raise click.BadParameter(f"chi must satisfy 0 <= chi < 1/2, got {value}")
+        raise click.BadParameter(f"chi must satisfy 0 <= chi <= {CHI_MAX}, got {value}")
     return value
 
 
@@ -96,7 +96,7 @@ def main():
 
 @main.command()
 @click.option("--chi", type=float, required=True, callback=_validate_chi,
-              help="Coupling strength, 0 <= chi < 1/2.")
+              help=f"Coupling strength, 0 <= chi <= {CHI_MAX}.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 def model(chi: float, fmt: str):
@@ -149,7 +149,7 @@ def curves(chi_min: float, chi_max: float, steps: int, schemes: str, fmt: str,
            out: str | None):
     """Entanglement/entropy table over a chi grid (figure data)."""
     if not 0.0 <= chi_min < chi_max <= CHI_MAX:
-        raise click.BadParameter(f"require 0 <= chi-min < chi-max < 1/2, got "
+        raise click.BadParameter(f"require 0 <= chi-min < chi-max <= {CHI_MAX}, got "
                                  f"[{chi_min}, {chi_max}]")
     if steps < 1:
         raise click.BadParameter("steps must be >= 1")
@@ -198,7 +198,7 @@ def optimize(chi: float, scheme: SchemeId, fmt: str):
     """Optimal feedback parameter and resulting L, S, cost for one scheme."""
     p = NopoParams(chi)
     result = optimize_scheme(p, scheme)
-    loop, _, _ = closed_loop_for_scheme(p, result)
+    loop = closed_loop_for_scheme(p, result)
     margin = -float(np.linalg.eigvals(loop.A_prime).real.max())
     rec = _record(result)
     if fmt == "json":
@@ -233,8 +233,6 @@ def _check(label: str, ok: bool, detail: str, lines: list[str]) -> bool:
 def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
            seed: int):
     """Monte-Carlo verification of a scheme against the Riccati/Lyapunov oracles."""
-    if ntraj < 1:
-        raise click.BadParameter("ntraj must be >= 1")
     try:
         cfg = SimConfig(dt=dt, t_final=horizon, n_traj=ntraj, seed=seed)
     except ValueError as exc:
@@ -245,7 +243,7 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
     u, gain = scheme_realization(p, result)
     plant = build_plant(p)
     W = riccati_steady(plant, u)
-    loop, _, _ = closed_loop_for_scheme(p, result)
+    loop = closed_loop_for_scheme(p, result)
     V_pred = lyapunov_steady(loop.A_prime, loop.D_prime)
 
     # The nonlocal gain is built from result.V, so started there its noise

@@ -1,8 +1,8 @@
 """Unconditional moment dynamics of linear Gaussian plants.
 
-A plant is specified by a quadratic Hamiltonian matrix G, a linear bath
-coupling Ctilde and a control input matrix B. The first moments obey
-d<x>/dt = A<x> + Bu and the covariance obeys dV/dt = A V + V A^T + D.
+A plant is specified by a quadratic Hamiltonian matrix G and a linear bath
+coupling Ctilde. The first moments obey d<x>/dt = A<x> plus any feedback
+drive, and the covariance obeys dV/dt = A V + V A^T + D.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ HURWITZ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Linear plant: Hamiltonian matrix G, bath coupling Ctilde, input matrix B."""
+    """Linear plant: Hamiltonian matrix G and bath coupling Ctilde."""
 
     G: np.ndarray        # 2N x 2N real symmetric
     Ctilde: np.ndarray   # L x 2N complex
-    B: np.ndarray        # 2N x M real
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -34,10 +33,6 @@ class PlantModel:
         if Ct.ndim != 2 or Ct.shape[1] != G.shape[0]:
             raise ValueError(f"Ctilde must be L x {G.shape[0]}, got {Ct.shape}")
         object.__setattr__(self, "Ctilde", Ct)
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != G.shape[0]:
-            raise ValueError(f"B must have {G.shape[0]} rows, got {B.shape}")
-        object.__setattr__(self, "B", B)
 
     @property
     def n_modes(self) -> int:

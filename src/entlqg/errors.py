@@ -41,7 +41,3 @@ class TrajectoryDivergenceError(EntlqgError):
     def __init__(self, message: str, trajectory: int):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class OptimalityViolationError(EntlqgError):
-    """A numeric optimum disagrees with its closed-form reference."""

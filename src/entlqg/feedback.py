@@ -1,8 +1,7 @@
-"""Markovian feedback: u(t) = F y(t) applied to the current of a measurement model.
+"""Markovian feedback: a drive BF y(t) applied to the current of a measurement model.
 
-Gains are stored pre-multiplied by the input matrix as BF; the model layer
-fixes B to the identity so BF is the gain itself. Feedback modifies the
-unconditional dynamics to A' = A + BF C and
+BF maps the current directly onto the quadratures (an identity input
+matrix). Feedback modifies the unconditional dynamics to A' = A + BF C and
 D' = D + BF BF^T + BF Gamma + Gamma^T BF^T.
 """
 

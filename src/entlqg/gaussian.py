@@ -64,15 +64,6 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class TwoModeBlocks:
-    """2x2 blocks of a two-mode covariance matrix: per-mode gamma1/gamma2 and cross sigma."""
-
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymplecticSpectrum:
     """Symplectic eigenvalues in descending order; each is >= 1/2 for a physical state."""
 
@@ -156,28 +147,3 @@ def epr_variance(V: CovarianceMatrix, theta: float) -> float:
     c, s = np.cos(theta), np.sin(theta)
     v = np.array([c, s, -c, s])
     return float(v @ V.data @ v)
-
-
-def two_mode_blocks(V: CovarianceMatrix) -> TwoModeBlocks:
-    """Exact 2x2 block extraction of a two-mode covariance matrix."""
-    if V.n_modes != 2:
-        raise ValueError("two_mode_blocks requires a two-mode state")
-    m = V.data
-    return TwoModeBlocks(gamma1=m[:2, :2].copy(), gamma2=m[2:, 2:].copy(),
-                         sigma=m[:2, 2:].copy())
-
-
-def determinant_symplectic_eigenvalues(V: CovarianceMatrix) -> tuple[float, float]:
-    """Two-mode symplectic eigenvalues from block determinants.
-
-    Closed form valid for the symmetric family det(gamma1) == det(gamma2);
-    retained as a cross-check against the general i*Sigma*V spectrum.
-    Returns (larger, smaller).
-    """
-    b = two_mode_blocks(V)
-    u = float(np.linalg.det(b.gamma1) + np.linalg.det(b.sigma))
-    disc = u * u - float(np.linalg.det(V.data))
-    if disc < 0:
-        disc = 0.0
-    root = np.sqrt(disc)
-    return float(np.sqrt(u + root)), float(np.sqrt(max(u - root, 0.0)))

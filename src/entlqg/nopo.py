@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PlantModel, drift_matrix, diffusion_matrix
-from .errors import OptimalityViolationError, StabilityError
-from .feedback import (closed_loop, heterodyne_gain, heterodyne_stable,
+from .errors import StabilityError
+from .feedback import (ClosedLoop, closed_loop, heterodyne_gain, heterodyne_stable,
                        homodyne_gain, homodyne_stable, optimal_gain)
 from .gaussian import CovarianceMatrix, log_negativity, von_neumann_entropy
 from .unravelling import (HETERODYNE, HOMODYNE_Q, Unravelling, measurement_model,
@@ -79,17 +79,16 @@ class SchemeResult:
     m: float
     at_boundary: bool = False
     unravelling: Unravelling | None = None
-    measurement: np.ndarray | None = None
     recovery_residual: float | None = None
 
 
 def build_plant(p: NopoParams) -> PlantModel:
-    """Hamiltonian matrix with antidiagonal chi, one damping channel per mode, B = I."""
+    """Hamiltonian matrix with antidiagonal chi and one damping channel per mode."""
     chi = p.chi
     G = np.zeros((4, 4))
     G[0, 3] = G[3, 0] = G[1, 2] = G[2, 1] = chi
     Ct = (1.0 / np.sqrt(2.0)) * np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]], dtype=complex)
-    return PlantModel(G=G, Ctilde=Ct, B=np.eye(4))
+    return PlantModel(G=G, Ctilde=Ct)
 
 
 def open_loop_V(p: NopoParams) -> CovarianceMatrix:
@@ -133,78 +132,12 @@ def optimal_nonlocal(p: NopoParams) -> SchemeResult:
     alpha, beta = optimal_nonlocal_alpha_beta(p.chi)
     W = symmetric_family_W(alpha, beta)
     u, residual = recover_unravelling(W, plant)
-    meas = measurement_model(plant, u)
     return SchemeResult(
         scheme=SchemeId.NONLOCAL, chi=p.chi,
         params={"alpha": alpha, "beta": beta},
         V=W, L=log_negativity(W), S=von_neumann_entropy(W),
         m=float(np.trace(cost_matrix() @ W.data)),
-        unravelling=u, measurement=meas.C, recovery_residual=residual)
-
-
-@dataclass(frozen=True)
-class NonlocalOptimumReport:
-    """Grid-minimization check of the constrained cost against the closed form."""
-
-    chi: float
-    alpha_numeric: float
-    beta_numeric: float
-    alpha_expected: float
-    beta_expected: float
-    max_deviation: float
-    m_numeric: float
-    m_expected: float
-    monotone_along_boundary: bool
-
-
-def verify_nonlocal_optimum(p: NopoParams, grid: int = 400) -> NonlocalOptimumReport:
-    """Minimize 2(alpha-beta) over the constrained (alpha, beta) family numerically.
-
-    Constraints: alpha >= sqrt(1+4 beta^2)/2 (physicality of the family) and
-    1/2 - (alpha +/- beta)(1 -/+ 2chi) >= 0 (attainability). A dense grid
-    with local refinement must reproduce the closed-form minimizer within
-    1e-6, and the cost must decrease monotonically with beta along the
-    active physicality boundary.
-    """
-    chi = p.chi
-    a_exp, b_exp = optimal_nonlocal_alpha_beta(chi)
-
-    a_lo, a_hi = 0.45, 0.5 / (1.0 - 2.0 * chi) + 0.2
-    b_lo, b_hi = -0.1, 1.5 * b_exp + 0.2
-    best = (np.inf, a_exp, b_exp)
-    for _ in range(5):
-        al = np.linspace(a_lo, a_hi, grid)
-        be = np.linspace(b_lo, b_hi, grid)
-        A, B = np.meshgrid(al, be, indexing="ij")
-        feasible = ((A - 0.5 * np.sqrt(1.0 + 4.0 * B**2) >= 0)
-                    & (0.5 - (A + B) * (1.0 - 2.0 * chi) >= 0)
-                    & (0.5 - (A - B) * (1.0 + 2.0 * chi) >= 0))
-        m = np.where(feasible, 2.0 * (A - B), np.inf)
-        k = np.unravel_index(np.argmin(m), m.shape)
-        if m[k] < best[0]:
-            best = (float(m[k]), float(A[k]), float(B[k]))
-        da, db = al[1] - al[0], be[1] - be[0]
-        a_lo, a_hi = best[1] - 2 * da, best[1] + 2 * da
-        b_lo, b_hi = best[2] - 2 * db, best[2] + 2 * db
-
-    m_num, a_num, b_num = best
-    deviation = max(abs(a_num - a_exp), abs(b_num - b_exp))
-    if deviation > 1e-6:
-        raise OptimalityViolationError(
-            f"grid minimizer ({a_num}, {b_num}) deviates from closed form "
-            f"({a_exp}, {b_exp}) by {deviation:.3e}")
-
-    bs = np.linspace(0.0, b_exp, 200) if b_exp > 0 else np.array([0.0])
-    m_boundary = np.sqrt(1.0 + 4.0 * bs**2) - 2.0 * bs
-    monotone = bool(np.all(np.diff(m_boundary) <= 1e-15))
-    if not monotone:
-        raise OptimalityViolationError("cost is not monotone along the active boundary")
-
-    return NonlocalOptimumReport(
-        chi=chi, alpha_numeric=a_num, beta_numeric=b_num,
-        alpha_expected=a_exp, beta_expected=b_exp, max_deviation=deviation,
-        m_numeric=m_num, m_expected=2.0 * (a_exp - b_exp),
-        monotone_along_boundary=monotone)
+        unravelling=u, recovery_residual=residual)
 
 
 def homodyne_closed_form_V(p: NopoParams, lam_plus: float,
@@ -361,16 +294,12 @@ def scheme_curves(chi_min: float, chi_max: float, steps: int,
 
 def scheme_realization(p: NopoParams, result: SchemeResult):
     """Unravelling and gain realizing a scheme result's stationary state."""
-    plant = build_plant(p)
     scheme = result.scheme
     if scheme is SchemeId.NONE:
         return HOMODYNE_Q, homodyne_gain(0.0, 0.0)
     if scheme is SchemeId.NONLOCAL:
         u = result.unravelling
-        if u is None:
-            u = recover_unravelling(result.V, plant)[0]
-        meas = measurement_model(plant, u)
-        return u, optimal_gain(result.V, meas)
+        return u, optimal_gain(result.V, measurement_model(build_plant(p), u))
     if scheme is SchemeId.HETERODYNE:
         return HETERODYNE, heterodyne_gain(result.params["mu"])
     lam = result.params["lambda"]
@@ -379,9 +308,9 @@ def scheme_realization(p: NopoParams, result: SchemeResult):
     return HOMODYNE_Q, homodyne_gain(*pairs[scheme])
 
 
-def closed_loop_for_scheme(p: NopoParams, result: SchemeResult):
+def closed_loop_for_scheme(p: NopoParams, result: SchemeResult) -> ClosedLoop:
     """Closed-loop (A', D') matrices realizing a scheme result's stationary state."""
     plant = build_plant(p)
     u, gain = scheme_realization(p, result)
-    meas = measurement_model(plant, u)
-    return closed_loop(drift_matrix(plant), diffusion_matrix(plant), gain, meas), meas, gain
+    return closed_loop(drift_matrix(plant), diffusion_matrix(plant), gain,
+                       measurement_model(plant, u))

@@ -23,6 +23,7 @@ U_PSD_TOL = 1e-9
 RICCATI_DERIVATIVE_TOL = 1e-12
 RICCATI_RESIDUAL_TOL = 1e-9
 RICCATI_MAX_STEPS = 10**7
+_RICCATI_DT = 0.01
 RECOVERY_RESIDUAL_TOL = 1e-8
 
 
@@ -57,7 +58,6 @@ class MeasurementModel:
 
     C: np.ndarray
     Gamma: np.ndarray
-    U_sqrt: np.ndarray
 
 
 def u_matrix(u: Unravelling) -> np.ndarray:
@@ -111,7 +111,7 @@ def measurement_model(plant: PlantModel, u: Unravelling) -> MeasurementModel:
     Cb = cbar(plant.Ctilde)
     S = s_matrix(plant.n_channels)
     Sig = symplectic_form(plant.n_modes)
-    return MeasurementModel(C=2.0 * Us @ Cb, Gamma=-Us @ S @ Cb @ Sig.T, U_sqrt=Us)
+    return MeasurementModel(C=2.0 * Us @ Cb, Gamma=-Us @ S @ Cb @ Sig.T)
 
 
 def riccati_rhs(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
@@ -146,26 +146,24 @@ def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return 0.5 * (Vs + Vs.swapaxes(-1, -2))
 
 
-def riccati_steady(plant: PlantModel, u: Unravelling, dt: float = 0.01) -> CovarianceMatrix:
+def riccati_steady(plant: PlantModel, u: Unravelling) -> CovarianceMatrix:
     """Stabilizing steady state of the conditional covariance equation.
 
     Solved by relaxation along the exact Riccati flow: from the unconditional
-    steady state, V is stepped by ``riccati_map`` with Phi = exp(H dt) until
-    max|dV/dt| <= RICCATI_DERIVATIVE_TOL, which is guaranteed to land on the
-    stabilizing solution when one exists. dt must be positive: a backward
-    flow relaxes to the anti-stabilizing solution instead. The converged
-    matrix is then checked against the equivalent algebraic form
+    steady state, V is stepped forward by ``riccati_map`` with
+    Phi = exp(H dt), dt = 0.01, until max|dV/dt| <= RICCATI_DERIVATIVE_TOL,
+    which is guaranteed to land on the stabilizing solution when one exists
+    (a backward flow would relax to the anti-stabilizing solution instead). The
+    converged matrix is then checked against the equivalent algebraic form
     0 = Omega W + W Omega^T - W C^T C W + E E^T with Omega = A - Gamma^T C
     and E = Sigma C^T / 2.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     C, Gamma = meas.C, meas.Gamma
     V = lyapunov_steady(A, D).data
-    Phi = riccati_propagator(A, D, C, Gamma, dt)
+    Phi = riccati_propagator(A, D, C, Gamma, _RICCATI_DT)
 
     for _ in range(RICCATI_MAX_STEPS):
         rate = np.abs(riccati_rhs(A, D, C, Gamma, V)).max()

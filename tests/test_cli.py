@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from entlqg.cli import CSV_COLUMNS, fmt12, main
+from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main
 
 
 @pytest.fixture
@@ -27,8 +27,11 @@ class TestModel:
         assert "0.666666666667" in result.output       # EPR variance 2/3
 
     def test_domain_error(self, runner):
-        result = runner.invoke(main, ["model", "--chi", "0.5"])
-        assert result.exit_code == 2
+        # 0.4999995 lies below 1/2 but above CHI_MAX: the message names CHI_MAX
+        for chi in ("0.5", "0.4999995"):
+            result = runner.invoke(main, ["model", "--chi", chi])
+            assert result.exit_code == 2
+            assert f"<= {CHI_MAX}, got {chi}" in result.output
 
     def test_json_document(self, runner):
         result = runner.invoke(main, ["model", "--chi", "0.25", "--format", "json"])
@@ -103,6 +106,10 @@ class TestCurves:
         result = runner.invoke(main, ["curves", "--chi-min", "0.4", "--chi-max",
                                       "0.1"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["curves", "--chi-min", "0.4", "--chi-max",
+                                      "0.4999995"])
+        assert result.exit_code == 2
+        assert f"chi-max <= {CHI_MAX}" in result.output
 
     def test_unknown_scheme(self, runner):
         result = runner.invoke(main, ["curves", "--schemes", "bogus"])

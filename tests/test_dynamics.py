@@ -16,7 +16,7 @@ def raw_plant(chi):
     G = np.zeros((4, 4))
     G[0, 3] = G[3, 0] = G[1, 2] = G[2, 1] = chi
     Ct = (1 / np.sqrt(2)) * np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]], dtype=complex)
-    return PlantModel(G=G, Ctilde=Ct, B=np.eye(4))
+    return PlantModel(G=G, Ctilde=Ct)
 
 
 class TestDriftMatrix:
@@ -39,8 +39,7 @@ class TestDriftMatrix:
         # a purely real bath coupling has no imaginary product part, so the
         # drift reduces to the Hamiltonian flow (zero here)
         plant = PlantModel(G=np.zeros((4, 4)),
-                           Ctilde=np.array([[1.0, 0, 0.5, 0]], dtype=complex),
-                           B=np.eye(4))
+                           Ctilde=np.array([[1.0, 0, 0.5, 0]], dtype=complex))
         assert np.allclose(drift_matrix(plant), 0.0, atol=1e-15)
 
 
@@ -51,15 +50,14 @@ class TestDiffusionMatrix:
         assert np.allclose(D, np.eye(4) / 2, atol=1e-14)
 
     def test_no_coupling_no_noise(self):
-        plant = PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 4), dtype=complex),
-                           B=np.eye(4))
+        plant = PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 4), dtype=complex))
         assert np.allclose(diffusion_matrix(plant), 0.0, atol=1e-15)
 
     def test_positive_semidefinite_for_random_coupling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             Ct = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-            plant = PlantModel(G=np.zeros((4, 4)), Ctilde=Ct, B=np.eye(4))
+            plant = PlantModel(G=np.zeros((4, 4)), Ctilde=Ct)
             D = diffusion_matrix(plant)
             assert np.linalg.eigvalsh(D).min() >= -1e-10
 
@@ -161,13 +159,9 @@ class TestIntegrateMoments:
 class TestPlantModel:
     def test_symmetrizes_hamiltonian_matrix(self):
         G = np.array([[0.0, 0.3], [0.1, 0.0]])
-        plant = PlantModel(G=G, Ctilde=np.zeros((1, 2), dtype=complex), B=np.eye(2))
+        plant = PlantModel(G=G, Ctilde=np.zeros((1, 2), dtype=complex))
         assert np.array_equal(plant.G, plant.G.T)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 6), dtype=complex),
-                       B=np.eye(4))
-        with pytest.raises(ValueError):
-            PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 4), dtype=complex),
-                       B=np.eye(6))
+            PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 6), dtype=complex))

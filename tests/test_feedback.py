@@ -83,8 +83,7 @@ class TestOptimalGain:
         assert np.max(np.abs(V.data - W.data)) <= 1e-8
 
     def test_zero_for_trivial_inputs(self):
-        meas = MeasurementModel(C=np.ones((4, 4)), Gamma=np.zeros((4, 4)),
-                                U_sqrt=np.eye(4))
+        meas = MeasurementModel(C=np.ones((4, 4)), Gamma=np.zeros((4, 4)))
         gain = optimal_gain(symmetric_family_W(0.0, 0.0), meas)
         # W = 0 makes the first term vanish; Gamma = 0 kills the second
         assert np.allclose(gain.BF, 0.0)

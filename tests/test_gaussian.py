@@ -1,10 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from entlqg import (CovarianceMatrix, UnphysicalStateError,
-                    determinant_symplectic_eigenvalues, epr_variance, is_physical,
+from entlqg import (CovarianceMatrix, UnphysicalStateError, epr_variance, is_physical,
                     log_negativity, partial_transpose, symplectic_eigenvalues,
-                    symplectic_form, two_mode_blocks, von_neumann_entropy)
+                    symplectic_form, von_neumann_entropy)
 from entlqg import NopoParams, open_loop_V, symmetric_family_W
 
 LOG2_1P5 = 0.5849625007211562      # log2(1.5)
@@ -21,6 +22,35 @@ def brute_force_spectrum(V):
     """Independent oracle: moduli of eigenvalues of i*Sigma*V, all 2N of them."""
     S = symplectic_form(V.shape[0] // 2)
     return np.sort(np.abs(np.linalg.eigvals(1j * S @ V)))
+
+
+class TwoModeBlocks(NamedTuple):
+    """2x2 blocks of a two-mode covariance matrix: per-mode gamma1/gamma2 and cross sigma."""
+
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    sigma: np.ndarray
+
+
+def two_mode_blocks(V):
+    """Exact 2x2 block extraction of a two-mode covariance matrix."""
+    if V.n_modes != 2:
+        raise ValueError("two_mode_blocks requires a two-mode state")
+    m = V.data
+    return TwoModeBlocks(gamma1=m[:2, :2].copy(), gamma2=m[2:, 2:].copy(),
+                         sigma=m[:2, 2:].copy())
+
+
+def determinant_symplectic_eigenvalues(V):
+    """Independent oracle: two-mode symplectic eigenvalues from block determinants.
+
+    Closed form valid for the symmetric family det(gamma1) == det(gamma2).
+    Returns (larger, smaller).
+    """
+    b = two_mode_blocks(V)
+    u = float(np.linalg.det(b.gamma1) + np.linalg.det(b.sigma))
+    root = np.sqrt(max(u * u - float(np.linalg.det(V.data)), 0.0))
+    return float(np.sqrt(u + root)), float(np.sqrt(max(u - root, 0.0)))
 
 
 class TestSymplecticForm:

@@ -7,9 +7,49 @@ from entlqg import (CHI_MAX, NopoParams, SchemeId, StabilityError, build_plant,
                     heterodyne_optimal_mu, homodyne_closed_form_V,
                     lyapunov_steady, open_loop_V, optimal_nonlocal,
                     optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
-                    symmetric_family_W, verify_nonlocal_optimum, von_neumann_entropy)
+                    symmetric_family_W, von_neumann_entropy)
 
 CHI_GRID = np.linspace(0.05, 0.45, 9)
+
+
+def grid_minimizer(chi, grid=400):
+    """Independent oracle: minimize 2(alpha-beta) over the constrained (alpha, beta) family.
+
+    Constraints: alpha >= sqrt(1+4 beta^2)/2 (physicality of the family) and
+    1/2 - (alpha +/- beta)(1 -/+ 2chi) >= 0 (attainability). A dense grid is
+    refined five times around its best point. Returns (alpha, beta).
+    """
+    a_exp, b_exp = optimal_nonlocal_alpha_beta(chi)
+    a_lo, a_hi = 0.45, 0.5 / (1.0 - 2.0 * chi) + 0.2
+    b_lo, b_hi = -0.1, 1.5 * b_exp + 0.2
+    best = (np.inf, a_exp, b_exp)
+    for _ in range(5):
+        al = np.linspace(a_lo, a_hi, grid)
+        be = np.linspace(b_lo, b_hi, grid)
+        A, B = np.meshgrid(al, be, indexing="ij")
+        feasible = ((A - 0.5 * np.sqrt(1.0 + 4.0 * B**2) >= 0)
+                    & (0.5 - (A + B) * (1.0 - 2.0 * chi) >= 0)
+                    & (0.5 - (A - B) * (1.0 + 2.0 * chi) >= 0))
+        m = np.where(feasible, 2.0 * (A - B), np.inf)
+        k = np.unravel_index(np.argmin(m), m.shape)
+        if m[k] < best[0]:
+            best = (float(m[k]), float(A[k]), float(B[k]))
+        da, db = al[1] - al[0], be[1] - be[0]
+        a_lo, a_hi = best[1] - 2 * da, best[1] + 2 * da
+        b_lo, b_hi = best[2] - 2 * db, best[2] + 2 * db
+    return best[1], best[2]
+
+
+def assert_closed_form_is_grid_optimum(chi, grid=400):
+    """The grid minimizer lies within 1e-6 of the closed form, and the cost
+    decreases monotonically with beta along the active physicality boundary."""
+    a_exp, b_exp = optimal_nonlocal_alpha_beta(chi)
+    a_num, b_num = grid_minimizer(chi, grid)
+    assert max(abs(a_num - a_exp), abs(b_num - b_exp)) <= 1e-6
+    bs = np.linspace(0.0, b_exp, 200) if b_exp > 0 else np.array([0.0])
+    m_boundary = np.sqrt(1.0 + 4.0 * bs**2) - 2.0 * bs
+    assert np.all(np.diff(m_boundary) <= 1e-15)
+    return a_num, b_num
 
 
 class TestBuildPlant:
@@ -110,21 +150,21 @@ class TestOptimalNonlocal:
 
 class TestVerifyNonlocalOptimum:
     def test_quarter_coupling_grid(self):
-        report = verify_nonlocal_optimum(NopoParams(0.25), grid=400)
-        assert report.max_deviation <= 1e-6
-        assert report.alpha_expected == pytest.approx(0.625)
-        assert report.beta_expected == pytest.approx(0.375)
-        assert report.monotone_along_boundary
+        assert_closed_form_is_grid_optimum(0.25, grid=400)
+        alpha, beta = optimal_nonlocal_alpha_beta(0.25)
+        assert alpha == pytest.approx(0.625)
+        assert beta == pytest.approx(0.375)
 
     def test_small_coupling(self):
-        report = verify_nonlocal_optimum(NopoParams(0.1))
-        assert report.beta_expected == pytest.approx(0.1125, abs=1e-12)
-        assert abs(report.beta_numeric - 0.1125) <= 1e-6
+        _, beta_numeric = assert_closed_form_is_grid_optimum(0.1)
+        assert optimal_nonlocal_alpha_beta(0.1)[1] == pytest.approx(0.1125, abs=1e-12)
+        assert abs(beta_numeric - 0.1125) <= 1e-6
 
     def test_zero_coupling(self):
-        report = verify_nonlocal_optimum(NopoParams(0.0))
-        assert abs(report.beta_numeric) <= 1e-6
-        assert report.m_expected == pytest.approx(1.0)
+        _, beta_numeric = assert_closed_form_is_grid_optimum(0.0)
+        assert abs(beta_numeric) <= 1e-6
+        alpha, beta = optimal_nonlocal_alpha_beta(0.0)
+        assert 2.0 * (alpha - beta) == pytest.approx(1.0)
 
 
 class TestHomodyneClosedForm:
@@ -317,6 +357,6 @@ class TestEprBound:
         for scheme in (SchemeId.NONE, SchemeId.LOCAL_III, SchemeId.LOCAL_IV,
                        SchemeId.HETERODYNE):
             r = optimize_scheme(p, scheme)
-            loop, _, _ = closed_loop_for_scheme(p, r)
+            loop = closed_loop_for_scheme(p, r)
             V = lyapunov_steady(loop.A_prime, loop.D_prime)
             assert np.max(np.abs(V.data - r.V.data)) <= 1e-9

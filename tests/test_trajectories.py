@@ -328,7 +328,7 @@ class TestUnconditionalDecomposition:
         from entlqg import optimize_scheme
         result = optimize_scheme(p, SchemeId.LOCAL_III)
         u, gain = scheme_realization(p, result)
-        loop, _, _ = closed_loop_for_scheme(p, result)
+        loop = closed_loop_for_scheme(p, result)
         plant = build_plant(p)
         cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=3)
         stats = simulate_conditional(plant, u, gain, cfg)
@@ -341,7 +341,7 @@ class TestUnconditionalDecomposition:
         # one mode watched through two identical damping channels: the noise
         # has the current dimension 2L = 4, not the state dimension 2N = 2
         row = np.array([1, 1j]) / np.sqrt(2)
-        plant = PlantModel(G=np.zeros((2, 2)), Ctilde=np.array([row, row]), B=np.eye(2))
+        plant = PlantModel(G=np.zeros((2, 2)), Ctilde=np.array([row, row]))
         u = Unravelling(np.eye(2))
         gain = FeedbackGain(0.3 * np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]))
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant), gain,
