@@ -14,17 +14,15 @@ from .gaussian import (CovarianceMatrix, SymplecticSpectrum, epr_variance, is_ph
                        symplectic_form, von_neumann_entropy)
 from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
                        is_hurwitz, lyapunov_steady)
-from .unravelling import (HETERODYNE, HOMODYNE_Q, LmiReport, MeasurementModel,
-                          Unravelling, cbar, lmi_feasible, measurement_model,
-                          psd_sqrt, recover_unravelling, riccati_rhs, riccati_steady,
-                          s_matrix, u_matrix)
-from .feedback import (ClosedLoop, FeedbackGain, closed_loop, heterodyne_gain,
-                       heterodyne_stable, homodyne_gain, homodyne_stable,
-                       optimal_gain)
-from .nopo import (CHI_MAX, CURVE_SCHEMES, NopoParams, SchemeId, SchemeResult,
-                   build_plant, closed_loop_for_scheme, cost_matrix,
-                   heterodyne_closed_form_V, heterodyne_optimal_mu,
-                   homodyne_closed_form_V, open_loop_V, optimal_nonlocal,
+from .unravelling import (LmiReport, MeasurementModel, Unravelling, cbar, lmi_feasible,
+                          measurement_model, psd_sqrt, recover_unravelling, riccati_rhs,
+                          riccati_steady, s_matrix, u_matrix)
+from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
+from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, NopoParams, SchemeId,
+                   SchemeResult, build_plant, closed_loop_for_scheme, cost_matrix,
+                   heterodyne_closed_form_V, heterodyne_gain, heterodyne_optimal_mu,
+                   heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
+                   homodyne_stable, open_loop_V, optimal_nonlocal,
                    optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
                    scheme_realization, symmetric_family_W)
 from .trajectories import (SimConfig, TrajectoryStats, regulation_cost,

@@ -56,9 +56,9 @@ def diffusion_matrix(plant: PlantModel) -> np.ndarray:
     return 0.5 * (D + D.T)
 
 
-def is_hurwitz(A: np.ndarray, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every eigenvalue of A has real part < -tol."""
-    return bool(np.linalg.eigvals(A).real.max() < -tol)
+def is_hurwitz(A: np.ndarray) -> bool:
+    """True iff every eigenvalue of A has real part < -HURWITZ_TOL."""
+    return bool(np.linalg.eigvals(A).real.max() < -HURWITZ_TOL)
 
 
 def lyapunov_steady(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:

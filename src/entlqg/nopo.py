@@ -2,25 +2,26 @@
 
 Two damped bosonic modes are coupled by a two-mode-squeezing interaction of
 dimensionless strength chi (cavity linewidth units); chi < 1/2 is the
-instability threshold. This module builds the plant, provides closed forms
-for the stationary covariances of every feedback scheme, optimizes each
-scheme's scalar parameter, and generates entanglement/entropy curves.
+instability threshold. This module builds the plant and alone knows its
+schemes: their measurements, gains and stability windows, with one table
+(``_SCALAR_SCHEMES``) for the scalar ones. It gives closed forms for the
+stationary covariances of every scheme, optimizes each scheme's scalar
+parameter, and generates entanglement/entropy curves.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dynamics import PlantModel, drift_matrix, diffusion_matrix
 from .errors import StabilityError
-from .feedback import (ClosedLoop, closed_loop, heterodyne_gain, heterodyne_stable,
-                       homodyne_gain, homodyne_stable, optimal_gain)
+from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .gaussian import CovarianceMatrix, log_negativity, von_neumann_entropy
-from .unravelling import (HETERODYNE, HOMODYNE_Q, Unravelling, measurement_model,
-                          recover_unravelling)
+from .unravelling import Unravelling, measurement_model, recover_unravelling
 
 CHI_MAX = 0.5 - 1e-6
 
@@ -57,9 +58,6 @@ class SchemeId(str, enum.Enum):
     HETERODYNE = "heterodyne"  # heterodyne on both modes, cross feedback
     NONE = "none"              # no feedback
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: Schemes shown on the entanglement/entropy curves ("all" in the CLI).
 CURVE_SCHEMES = (SchemeId.NONLOCAL, SchemeId.LOCAL_III, SchemeId.LOCAL_IV,
@@ -89,6 +87,63 @@ def build_plant(p: NopoParams) -> PlantModel:
     G[0, 3] = G[3, 0] = G[1, 2] = G[2, 1] = chi
     Ct = (1.0 / np.sqrt(2.0)) * np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]], dtype=complex)
     return PlantModel(G=G, Ctilde=Ct)
+
+
+#: q-quadrature homodyne on both channels, and heterodyne on both channels.
+HOMODYNE_Q = Unravelling(np.eye(2, dtype=complex))
+HETERODYNE = Unravelling(np.zeros((2, 2), dtype=complex))
+
+
+def homodyne_gain(lam_plus: float, lam_minus: float) -> FeedbackGain:
+    """Gain for the q-quadrature homodyne currents of ``HOMODYNE_Q``.
+
+    Drives q1 and q2 with the symmetric/antisymmetric current combinations
+    at strengths lam_plus and lam_minus.
+    """
+    a = (lam_plus + lam_minus) / np.sqrt(2.0)
+    b = (lam_plus - lam_minus) / np.sqrt(2.0)
+    BF = np.zeros((4, 4))
+    BF[0, 0] = BF[2, 1] = a
+    BF[0, 1] = BF[2, 0] = b
+    return FeedbackGain(BF=BF)
+
+
+def heterodyne_gain(mu: float) -> FeedbackGain:
+    """Gain for the heterodyne currents: drives each mode with the other mode's current."""
+    BF = np.zeros((4, 4))
+    BF[0, 1] = BF[2, 0] = mu
+    BF[1, 3] = BF[3, 2] = -mu
+    return FeedbackGain(BF=BF)
+
+
+class _Family(NamedTuple):
+    """A measurement: parameter name, unravelling, stability bounds(chi), V(p, *g), gain(*g)."""
+
+    param: str
+    unravelling: Unravelling
+    bounds: Callable[[float], tuple[float, float]]
+    V: Callable[..., CovarianceMatrix]
+    gain: Callable[..., FeedbackGain]
+
+
+# V and gain look their functions up in the module globals at each call.
+_HOMODYNE = _Family("lambda", HOMODYNE_Q, lambda chi: (0.25 - chi / 2, 0.25 + chi / 2),
+                    lambda p, *g: homodyne_closed_form_V(p, *g), lambda *g: homodyne_gain(*g))
+_HETERODYNE = _Family("mu", HETERODYNE, lambda chi: (-0.5 - chi, 0.5 - chi),
+                      lambda p, *g: heterodyne_closed_form_V(p, *g),
+                      lambda *g: heterodyne_gain(*g))
+
+
+def homodyne_stable(chi: float, lam_plus: float, lam_minus: float) -> bool:
+    """Closed-loop stability window of the homodyne scheme: lam_pm < 1/4 -/+ chi/2."""
+    plus_max, minus_max = _HOMODYNE.bounds(chi)
+    return lam_plus < plus_max and lam_minus < minus_max
+
+
+def heterodyne_stable(chi: float, mu: float) -> bool:
+    """Closed-loop stability window of the heterodyne scheme: -1/2 - chi < mu < 1/2 - chi."""
+    lo, hi = _HETERODYNE.bounds(chi)
+    return lo < mu < hi
 
 
 def open_loop_V(p: NopoParams) -> CovarianceMatrix:
@@ -180,13 +235,13 @@ def heterodyne_optimal_mu(chi: float) -> float:
     return 0.5 * (-1.0 - 2.0 * chi + np.sqrt(1.0 + 4.0 * chi**2))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization with deterministic left bias on ties."""
     ratio = 2.0 / (1.0 + np.sqrt(5.0))
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > GOLDEN_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - ratio * (hi - lo)
@@ -199,32 +254,15 @@ def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float
     return x, f(x)
 
 
-def _scheme_objective(p: NopoParams, scheme: SchemeId):
-    """Objective L(x), parameter window and V(x) builder for a scalar scheme."""
-    chi = p.chi
-    if scheme is SchemeId.LOCAL_I:
-        build = lambda x: homodyne_closed_form_V(p, x, x)
-        window = (SCAN_LO, 0.25 - chi / 2)
-        name = "lambda"
-    elif scheme is SchemeId.LOCAL_II:
-        build = lambda x: homodyne_closed_form_V(p, x, 0.0)
-        window = (SCAN_LO, 0.25 - chi / 2)
-        name = "lambda"
-    elif scheme is SchemeId.LOCAL_III:
-        build = lambda x: homodyne_closed_form_V(p, 0.0, x)
-        window = (SCAN_LO, 0.25 + chi / 2)
-        name = "lambda"
-    elif scheme is SchemeId.LOCAL_IV:
-        build = lambda x: homodyne_closed_form_V(p, x, -x)
-        window = (-0.25 - chi / 2, 0.25 - chi / 2)
-        name = "lambda"
-    elif scheme is SchemeId.HETERODYNE:
-        build = lambda x: heterodyne_closed_form_V(p, x)
-        window = (-0.5 - chi, 0.5 - chi)
-        name = "mu"
-    else:  # pragma: no cover - guarded by optimize_scheme dispatch
-        raise ValueError(f"scheme {scheme} has no scalar parameter")
-    return build, window, name
+#: Each scalar scheme: its family, the family's gain arguments g(x) for its
+#: parameter x, and its scan window for x given the family's bounds b.
+_SCALAR_SCHEMES = {
+    SchemeId.LOCAL_I: (_HOMODYNE, lambda x: (x, x), lambda b: (SCAN_LO, b[0])),
+    SchemeId.LOCAL_II: (_HOMODYNE, lambda x: (x, 0.0), lambda b: (SCAN_LO, b[0])),
+    SchemeId.LOCAL_III: (_HOMODYNE, lambda x: (0.0, x), lambda b: (SCAN_LO, b[1])),
+    SchemeId.LOCAL_IV: (_HOMODYNE, lambda x: (x, -x), lambda b: (-b[1], b[0])),
+    SchemeId.HETERODYNE: (_HETERODYNE, lambda x: (x,), lambda b: b),
+}
 
 
 def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
@@ -246,8 +284,10 @@ def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
     if scheme is SchemeId.NONLOCAL:
         return optimal_nonlocal(p)
 
-    build, (lo, hi), name = _scheme_objective(p, scheme)
+    family, gains, window = _SCALAR_SCHEMES[scheme]
+    lo, hi = window(family.bounds(p.chi))
     lo, hi = lo + EDGE_MARGIN, hi - EDGE_MARGIN
+    build = lambda x: family.V(p, *gains(x))
     objective = lambda x: log_negativity(build(x))
 
     xs = np.linspace(lo, hi, SCAN_POINTS)
@@ -272,7 +312,7 @@ def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
             x_star, L_star, at_boundary = 0.0, L_zero, False
 
     V = build(x_star)
-    return SchemeResult(scheme=scheme, chi=p.chi, params={name: float(x_star)},
+    return SchemeResult(scheme=scheme, chi=p.chi, params={family.param: float(x_star)},
                         V=V, L=L_star, S=von_neumann_entropy(V),
                         m=float(np.trace(cost_matrix() @ V.data)),
                         at_boundary=at_boundary)
@@ -300,12 +340,8 @@ def scheme_realization(p: NopoParams, result: SchemeResult):
     if scheme is SchemeId.NONLOCAL:
         u = result.unravelling
         return u, optimal_gain(result.V, measurement_model(build_plant(p), u))
-    if scheme is SchemeId.HETERODYNE:
-        return HETERODYNE, heterodyne_gain(result.params["mu"])
-    lam = result.params["lambda"]
-    pairs = {SchemeId.LOCAL_I: (lam, lam), SchemeId.LOCAL_II: (lam, 0.0),
-             SchemeId.LOCAL_III: (0.0, lam), SchemeId.LOCAL_IV: (lam, -lam)}
-    return HOMODYNE_Q, homodyne_gain(*pairs[scheme])
+    family, gains, _ = _SCALAR_SCHEMES[scheme]
+    return family.unravelling, family.gain(*gains(result.params[family.param]))
 
 
 def closed_loop_for_scheme(p: NopoParams, result: SchemeResult) -> ClosedLoop:

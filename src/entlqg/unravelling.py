@@ -31,8 +31,8 @@ RECOVERY_RESIDUAL_TOL = 1e-8
 class Unravelling:
     """Continuous monitoring choice, given by the complex symmetric matrix upsilon.
 
-    upsilon = I measures the q quadrature of every channel (homodyne);
-    upsilon = 0 splits each channel over both quadratures (heterodyne).
+    upsilon = I measures the q quadrature of every channel; upsilon = 0
+    splits each channel equally over both quadratures.
     """
 
     upsilon: np.ndarray
@@ -46,10 +46,6 @@ class Unravelling:
     @property
     def n_channels(self) -> int:
         return self.upsilon.shape[0]
-
-
-HOMODYNE_Q = Unravelling(np.eye(2, dtype=complex))
-HETERODYNE = Unravelling(np.zeros((2, 2), dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -353,10 +353,14 @@ class TestEprBound:
             assert value >= 0.5
 
     def test_closed_loop_matrices_consistent(self):
-        p = NopoParams(0.25)
-        for scheme in (SchemeId.NONE, SchemeId.LOCAL_III, SchemeId.LOCAL_IV,
-                       SchemeId.HETERODYNE):
-            r = optimize_scheme(p, scheme)
-            loop = closed_loop_for_scheme(p, r)
-            V = lyapunov_steady(loop.A_prime, loop.D_prime)
-            assert np.max(np.abs(V.data - r.V.data)) <= 1e-9
+        # Every scheme's realization (unravelling and gain) reproduces its V.
+        # Relative to max|V|: local-i's supremum sits at the window edge,
+        # where max|V| ~ 5e4.
+        for chi in (0.1, 0.25, 0.4):
+            p = NopoParams(chi)
+            for scheme in SchemeId:
+                r = optimize_scheme(p, scheme)
+                loop = closed_loop_for_scheme(p, r)
+                V = lyapunov_steady(loop.A_prime, loop.D_prime)
+                scale = max(1.0, np.max(np.abs(r.V.data)))
+                assert np.max(np.abs(V.data - r.V.data)) <= 1e-9 * scale, (chi, scheme)
