@@ -12,7 +12,8 @@ import numpy as np
 from entlqg import (NopoParams, build_plant, closed_loop,
                     diffusion_matrix, drift_matrix, lmi_feasible, lyapunov_steady,
                     measurement_model, optimal_gain, optimal_nonlocal,
-                    riccati_steady, symplectic_eigenvalues, u_matrix)
+                    recover_unravelling, riccati_steady, symplectic_eigenvalues,
+                    u_matrix)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -34,11 +35,11 @@ print(f"attainable: {lmi.feasible}; margins: physical {lmi.physical_margin:.2e},
 print("both margins vanish: the optimum lies on the boundary of the attainable set")
 
 # %% The measurement that achieves it ----------------------------------------
-u = result.unravelling
+u, residual = recover_unravelling(result.V, plant)
 meas = measurement_model(plant, u)
 print("\nrecovered unravelling matrix U (a projector):")
 print(u_matrix(u))
-print(f"recovery residual = {result.recovery_residual:.2e}")
+print(f"recovery residual = {residual:.2e}")
 print("\nmeasurement matrix C:")
 print(meas.C)
 print("rows 1-2 sense q1 - q2, rows 3-4 sense p1 + p2: the two output beams")
@@ -48,7 +49,7 @@ print("must interfere on a beam splitter before homodyne detection.")
 W = riccati_steady(plant, u)
 print(f"\nRiccati steady state matches the closed form to "
       f"{np.max(np.abs(W.data - result.V.data)):.2e}")
-print(f"symplectic spectrum of W: {symplectic_eigenvalues(W).values} "
+print(f"symplectic spectrum of W: {symplectic_eigenvalues(W)} "
       "(pure state)")
 
 gain = optimal_gain(W, meas)

@@ -9,19 +9,19 @@ stationary state. All logarithmic quantities are in bits (base 2).
 from .errors import (EntlqgError, InvalidUnravellingError, NoStableSolutionError,
                      NotPositiveSemidefiniteError, NumericalError, RecoveryError,
                      StabilityError, TrajectoryDivergenceError, UnphysicalStateError)
-from .gaussian import (CovarianceMatrix, SymplecticSpectrum, epr_variance, is_physical,
-                       log_negativity, partial_transpose, symplectic_eigenvalues,
-                       symplectic_form, von_neumann_entropy)
+from .gaussian import (CovarianceMatrix, epr_variance, is_physical, log_negativity,
+                       partial_transpose, symplectic_eigenvalues, symplectic_form,
+                       von_neumann_entropy)
 from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
                        is_hurwitz, lyapunov_steady)
 from .unravelling import (LmiReport, MeasurementModel, Unravelling, cbar, lmi_feasible,
                           measurement_model, psd_sqrt, recover_unravelling, riccati_rhs,
                           riccati_steady, s_matrix, u_matrix)
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
-from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, NopoParams, SchemeId,
-                   SchemeResult, build_plant, closed_loop_for_scheme, cost_matrix,
-                   heterodyne_closed_form_V, heterodyne_gain, heterodyne_optimal_mu,
-                   heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
+from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE,
+                   NopoParams, SchemeId, SchemeResult, build_plant,
+                   closed_loop_for_scheme, cost_matrix, heterodyne_closed_form_V,
+                   heterodyne_gain, heterodyne_optimal_mu, heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
                    homodyne_stable, open_loop_V, optimal_nonlocal,
                    optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
                    scheme_realization, symmetric_family_W)
@@ -32,11 +32,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHI_MAX", "CURVE_SCHEMES", "ClosedLoop", "CovarianceMatrix",
-    "EntlqgError", "FeedbackGain", "HETERODYNE", "HOMODYNE_Q",
+    "EntlqgError", "FeedbackGain", "HETERODYNE", "HOMODYNE_Q", "JOINT_HOMODYNE",
     "InvalidUnravellingError", "LmiReport", "MeasurementModel",
     "NoStableSolutionError", "NopoParams", "NotPositiveSemidefiniteError",
     "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
-    "SimConfig", "StabilityError", "SymplecticSpectrum", "TrajectoryDivergenceError",
+    "SimConfig", "StabilityError", "TrajectoryDivergenceError",
     "TrajectoryStats", "Unravelling", "UnphysicalStateError",
     "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "cost_matrix",
     "diffusion_matrix", "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",

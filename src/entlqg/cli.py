@@ -21,8 +21,7 @@ from .errors import (EntlqgError, InvalidUnravellingError, RecoveryError,
 from .gaussian import epr_variance, log_negativity, von_neumann_entropy
 from .nopo import (CHI_MAX, CURVE_SCHEMES, NopoParams, SchemeId, SchemeResult,
                    build_plant, closed_loop_for_scheme, cost_matrix, open_loop_V,
-                   optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
-                   scheme_realization, symmetric_family_W)
+                   optimal_nonlocal, optimize_scheme, scheme_curves, scheme_realization)
 from .trajectories import SimConfig, regulation_cost, regulation_cost_sem, simulate_conditional
 from .unravelling import measurement_model, recover_unravelling, riccati_steady, u_matrix
 
@@ -314,16 +313,16 @@ def recover(chi: float):
     """Recover the optimal unravelling from the optimal conditional covariance."""
     p = NopoParams(chi)
     plant = build_plant(p)
-    alpha, beta = optimal_nonlocal_alpha_beta(chi)
-    W = symmetric_family_W(alpha, beta)
+    best = optimal_nonlocal(p)
     try:
-        u, residual = recover_unravelling(W, plant)
+        u, residual = recover_unravelling(best.V, plant)
     except (RecoveryError, InvalidUnravellingError) as exc:
         click.echo(f"error: recovery failed: {exc}", err=True)
         sys.exit(5)
     meas = measurement_model(plant, u)
     lines = [f"optimal conditional covariance at chi = {fmt12(chi)}: "
-             f"alpha = {fmt12(alpha)}, beta = {fmt12(beta)}"]
+             f"alpha = {fmt12(best.params['alpha'])}, "
+             f"beta = {fmt12(best.params['beta'])}"]
     lines += _matrix_lines("recovered unravelling matrix U", u_matrix(u))
     lines.append(f"recovery residual = {residual:.3e}")
     lines += _matrix_lines("measurement matrix C", meas.C)

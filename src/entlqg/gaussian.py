@@ -63,19 +63,6 @@ class CovarianceMatrix:
         return cls(np.block([[gamma1, sigma], [np.asarray(sigma).T, gamma2]]))
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues in descending order; each is >= 1/2 for a physical state."""
-
-    values: np.ndarray
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def min(self) -> float:
-        return float(self.values[-1])
-
-
 def is_physical(V: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
     """Uncertainty-relation test: min eigenvalue of V + i*Sigma/2 >= -tol."""
     n = V.n_modes
@@ -83,11 +70,12 @@ def is_physical(V: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
     return bool(np.linalg.eigvalsh(H).min() >= -tol)
 
 
-def symplectic_eigenvalues(V: CovarianceMatrix) -> SymplecticSpectrum:
+def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of i*Sigma*V, deduplicated from +/- pairs.
 
     The spectrum of i*Sigma*V consists of pairs (+nu, -nu); the returned
-    values are the N distinct moduli, descending.
+    values are the N distinct moduli, descending. Each is >= 1/2 for a
+    physical state.
     """
     n = V.n_modes
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ V.data)
@@ -97,7 +85,7 @@ def symplectic_eigenvalues(V: CovarianceMatrix) -> SymplecticSpectrum:
         if gap > PAIRING_TOL * max(1.0, a[2 * k]):
             raise NumericalError(
                 f"symplectic spectrum does not come in +/- pairs (gap {gap:.3e})")
-    return SymplecticSpectrum(values=a[::2].copy())
+    return a[::2].copy()
 
 
 def partial_transpose(V: CovarianceMatrix, mode: int) -> CovarianceMatrix:

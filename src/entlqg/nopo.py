@@ -7,6 +7,15 @@ schemes: their measurements, gains and stability windows, with one table
 (``_SCALAR_SCHEMES``) for the scalar ones. It gives closed forms for the
 stationary covariances of every scheme, optimizes each scheme's scalar
 parameter, and generates entanglement/entropy curves.
+
+Every stationary state here has the symmetric two-block pattern
+V = [[gq,0,sq,0],[0,gp,0,sp],[sq,0,gq,0],[0,sp,0,gp]] and is written by its
+EPR-basis variances q+- = gq +- sq and p+- = gp +- sp, each a ratio of
+factors that stay positive inside the scheme's stability window, so no
+closed form cancels near threshold. The optimal scheme, joint homodyne
+detection of q1-q2 and p1+p2 (``JOINT_HOMODYNE``) with the optimal gain, is
+given by its closed form alone; recovering its measurement from the
+conditional covariance is a cross-check, not a step of the computation.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from .dynamics import PlantModel, drift_matrix, diffusion_matrix
 from .errors import StabilityError
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .gaussian import CovarianceMatrix, log_negativity, von_neumann_entropy
+# recover_unravelling has no caller here; the benchmark's tracer binds
+# entlqg.nopo.recover_unravelling by name.
 from .unravelling import Unravelling, measurement_model, recover_unravelling
 
 CHI_MAX = 0.5 - 1e-6
@@ -76,8 +87,6 @@ class SchemeResult:
     S: float
     m: float
     at_boundary: bool = False
-    unravelling: Unravelling | None = None
-    recovery_residual: float | None = None
 
 
 def build_plant(p: NopoParams) -> PlantModel:
@@ -89,9 +98,11 @@ def build_plant(p: NopoParams) -> PlantModel:
     return PlantModel(G=G, Ctilde=Ct)
 
 
-#: q-quadrature homodyne on both channels, and heterodyne on both channels.
+#: q-quadrature homodyne on both channels, heterodyne on both channels, and
+#: the optimal measurement: joint homodyne of q1-q2 and p1+p2 (upsilon = -sigma_x).
 HOMODYNE_Q = Unravelling(np.eye(2, dtype=complex))
 HETERODYNE = Unravelling(np.zeros((2, 2), dtype=complex))
+JOINT_HOMODYNE = Unravelling(-np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def homodyne_gain(lam_plus: float, lam_minus: float) -> FeedbackGain:
@@ -146,13 +157,19 @@ def heterodyne_stable(chi: float, mu: float) -> bool:
     return lo < mu < hi
 
 
+def _epr_state(q_plus: float, q_minus: float, p_plus: float,
+               p_minus: float) -> CovarianceMatrix:
+    """Symmetric two-block V with EPR-basis variances q+- = gq +- sq, p+- = gp +- sp."""
+    gq, sq = (q_plus + q_minus) / 2, (q_plus - q_minus) / 2
+    gp, sp = (p_plus + p_minus) / 2, (p_plus - p_minus) / 2
+    return CovarianceMatrix(np.array([[gq, 0, sq, 0], [0, gp, 0, sp],
+                                      [sq, 0, gq, 0], [0, sp, 0, gp]]))
+
+
 def open_loop_V(p: NopoParams) -> CovarianceMatrix:
     """Closed-form stationary covariance without feedback."""
-    chi = p.chi
-    g = 0.5 / (1.0 - 4.0 * chi**2)
-    s = chi / (1.0 - 4.0 * chi**2)
-    return CovarianceMatrix(np.array([[g, 0, s, 0], [0, g, 0, -s],
-                                      [s, 0, g, 0], [0, -s, 0, g]]))
+    anti, squeezed = 0.5 / (1 - 2 * p.chi), 0.5 / (1 + 2 * p.chi)
+    return _epr_state(anti, squeezed, squeezed, anti)
 
 
 def cost_matrix() -> np.ndarray:
@@ -174,25 +191,22 @@ def symmetric_family_W(alpha: float, beta: float) -> CovarianceMatrix:
 
 
 def optimal_nonlocal(p: NopoParams) -> SchemeResult:
-    """Globally optimal scheme: conditional covariance, generating unravelling and gain.
+    """Globally optimal scheme: joint homodyne of q1-q2 and p1+p2 with the optimal gain.
 
     The stationary conditional covariance has the symmetric two-block
     pattern with cross correlation beta = chi(1-chi)/(1-2chi) and
-    alpha = sqrt(1+4 beta^2)/2; the cost is m = 2(alpha-beta) = 1-2chi and
-    the entanglement is L = -log2(1-2chi). The measurement that achieves it
-    is recovered explicitly and corresponds to joint homodyne detection of
-    q1-q2 and p1+p2.
+    alpha = sqrt(1+4 beta^2)/2. It is pure (S = 0), its cost is
+    m = 2(alpha-beta) = 1-2chi and its entanglement is L = -log2(1-2chi),
+    all given here in closed form. ``JOINT_HOMODYNE`` generates it, and
+    ``scheme_realization`` pairs that measurement with ``optimal_gain``.
     """
-    plant = build_plant(p)
     alpha, beta = optimal_nonlocal_alpha_beta(p.chi)
-    W = symmetric_family_W(alpha, beta)
-    u, residual = recover_unravelling(W, plant)
+    m = 1.0 - 2.0 * p.chi
     return SchemeResult(
         scheme=SchemeId.NONLOCAL, chi=p.chi,
         params={"alpha": alpha, "beta": beta},
-        V=W, L=log_negativity(W), S=von_neumann_entropy(W),
-        m=float(np.trace(cost_matrix() @ W.data)),
-        unravelling=u, recovery_residual=residual)
+        # abs: at chi = 0, -log2(1) is -0.0, which would print as -0.
+        V=symmetric_family_W(alpha, beta), L=abs(float(np.log2(m))), S=0.0, m=m)
 
 
 def homodyne_closed_form_V(p: NopoParams, lam_plus: float,
@@ -205,17 +219,9 @@ def homodyne_closed_form_V(p: NopoParams, lam_plus: float,
     chi, lp, lm = p.chi, lam_plus, lam_minus
     if not homodyne_stable(chi, lp, lm):
         raise StabilityError(f"(lam_plus={lp}, lam_minus={lm}) unstable at chi={chi}")
-    gqq = (-1 + 4 * (1 + chi) * lp - 2 * (1 + 2 * chi) * lp**2
-           + lm**2 * (-2 + 4 * chi + 8 * lp)
-           - 4 * lm * (-1 + chi + 4 * lp - 2 * lp**2)) \
-        / (2 * (1 + 2 * chi - 4 * lm) * (-1 + 2 * chi + 4 * lp))
-    sqq = (lm**2 * (1 - 4 * lp) - lp**2 + 4 * lm * lp**2
-           + chi * (-1 + 2 * lm - 2 * lm**2 + 2 * lp - 2 * lp**2)) \
-        / ((1 + 2 * chi - 4 * lm) * (-1 + 2 * chi + 4 * lp))
-    gpp = 0.5 / (1 - 4 * chi**2)
-    spp = -chi / (1 - 4 * chi**2)
-    return CovarianceMatrix(np.array([[gqq, 0, sqq, 0], [0, gpp, 0, spp],
-                                      [sqq, 0, gqq, 0], [0, spp, 0, gpp]]))
+    return _epr_state((1 - 2 * lp)**2 / (2 * (1 - 2 * chi - 4 * lp)),
+                      (1 - 2 * lm)**2 / (2 * (1 + 2 * chi - 4 * lm)),
+                      0.5 / (1 + 2 * chi), 0.5 / (1 - 2 * chi))
 
 
 def heterodyne_closed_form_V(p: NopoParams, mu: float) -> CovarianceMatrix:
@@ -223,11 +229,9 @@ def heterodyne_closed_form_V(p: NopoParams, mu: float) -> CovarianceMatrix:
     chi = p.chi
     if not heterodyne_stable(chi, mu):
         raise StabilityError(f"mu={mu} unstable at chi={chi}")
-    den = -1 + 4 * (chi + mu)**2
-    gqq = (-1 + 4 * chi * mu + 2 * mu**2) / (2 * den)
-    sqq = -(chi + 2 * chi * mu**2 + 2 * mu**3) / den
-    return CovarianceMatrix(np.array([[gqq, 0, sqq, 0], [0, gqq, 0, -sqq],
-                                      [sqq, 0, gqq, 0], [0, -sqq, 0, gqq]]))
+    anti = (1 - 2 * mu + 2 * mu**2) / (2 * (1 - 2 * chi - 2 * mu))
+    squeezed = (1 + 2 * mu + 2 * mu**2) / (2 * (1 + 2 * chi + 2 * mu))
+    return _epr_state(anti, squeezed, squeezed, anti)
 
 
 def heterodyne_optimal_mu(chi: float) -> float:
@@ -338,8 +342,8 @@ def scheme_realization(p: NopoParams, result: SchemeResult):
     if scheme is SchemeId.NONE:
         return HOMODYNE_Q, homodyne_gain(0.0, 0.0)
     if scheme is SchemeId.NONLOCAL:
-        u = result.unravelling
-        return u, optimal_gain(result.V, measurement_model(build_plant(p), u))
+        meas = measurement_model(build_plant(p), JOINT_HOMODYNE)
+        return JOINT_HOMODYNE, optimal_gain(result.V, meas)
     family, gains, _ = _SCALAR_SCHEMES[scheme]
     return family.unravelling, family.gain(*gains(result.params[family.param]))
 

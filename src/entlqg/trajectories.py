@@ -33,6 +33,7 @@ from .unravelling import (RICCATI_DERIVATIVE_TOL, Unravelling, measurement_model
 _BLOCK = 256              # time steps per noise block
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
 _DIVERGENCE_LIMIT = 1e6
+_BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class SimConfig:
     t_final: float = 20.0
     n_traj: int = 1000
     seed: int = 0
-    burn_in: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.dt <= 1e-2:
@@ -63,8 +63,6 @@ class SimConfig:
             raise ValueError("n_traj must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not 0.0 <= self.burn_in < 1.0:
-            raise ValueError(f"burn_in must be in [0, 1), got {self.burn_in}")
 
     @property
     def n_steps(self) -> int:
@@ -139,7 +137,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     every aggregate are exactly zero. Each block steps the ensemble in row
     chunks of up to ``_ROWS`` trajectories, so peak memory grows with the
     number of trajectories but not with the horizon. Statistics are
-    accumulated after the burn-in fraction of the horizon.
+    accumulated after a burn-in of the first ``_BURN_IN`` of the horizon.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -169,7 +167,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         for j in range(_BLOCK):
             powers[j + 1] = powers[j] @ Phi
 
-    k_burn = int(cfg.burn_in * n_steps)
+    k_burn = int(_BURN_IN * n_steps)
     n = A.shape[0]
     half = _expm(0.5 * dt * A_cl)
     Phit = (half @ half).T

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, MeasurementModel,
-                    NopoParams, Unravelling, build_plant, closed_loop,
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
+                    MeasurementModel, NopoParams, build_plant, closed_loop,
                     diffusion_matrix, drift_matrix, heterodyne_gain,
                     heterodyne_stable, homodyne_gain, homodyne_stable, is_hurwitz,
                     lyapunov_steady, measurement_model, optimal_gain,
                     riccati_steady, symmetric_family_W)
-
-OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 
 
 def printed_homodyne_loop(chi, lp, lm):
@@ -74,7 +72,7 @@ class TestOptimalGain:
     def test_unconditional_state_reaches_conditional(self, chi):
         p = NopoParams(chi)
         plant = build_plant(p)
-        u = Unravelling(OPTIMAL_UPSILON)
+        u = JOINT_HOMODYNE
         W = riccati_steady(plant, u)
         meas = measurement_model(plant, u)
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
@@ -93,7 +91,7 @@ class TestOptimalGain:
         for chi in np.linspace(0.02, 0.45, 8):
             p = NopoParams(chi)
             plant = build_plant(p)
-            for u in (Unravelling(OPTIMAL_UPSILON), HOMODYNE_Q, HETERODYNE):
+            for u in (JOINT_HOMODYNE, HOMODYNE_Q, HETERODYNE):
                 W = riccati_steady(plant, u)
                 meas = measurement_model(plant, u)
                 loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),

@@ -1,15 +1,50 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from entlqg import (CHI_MAX, NopoParams, SchemeId, StabilityError, build_plant,
-                    closed_loop_for_scheme, cost_matrix, diffusion_matrix,
-                    drift_matrix, epr_variance, heterodyne_closed_form_V,
-                    heterodyne_optimal_mu, homodyne_closed_form_V,
-                    lyapunov_steady, open_loop_V, optimal_nonlocal,
-                    optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
+from entlqg import (CHI_MAX, JOINT_HOMODYNE, NopoParams, SchemeId, StabilityError,
+                    build_plant, closed_loop_for_scheme, cost_matrix,
+                    diffusion_matrix, drift_matrix, epr_variance,
+                    heterodyne_closed_form_V, heterodyne_optimal_mu,
+                    homodyne_closed_form_V, log_negativity, lyapunov_steady,
+                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                    optimize_scheme, recover_unravelling, scheme_curves,
                     symmetric_family_W, von_neumann_entropy)
+from entlqg.nopo import EDGE_MARGIN
 
 CHI_GRID = np.linspace(0.05, 0.45, 9)
+# The whole accepted domain, with the threshold tail where V has entries ~1/(1-2chi).
+DOMAIN_CHIS = (0.0, 1e-9, 0.25, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
+THRESHOLD_CHIS = (0.1, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
+
+
+def expanded_homodyne_V(chi, lp, lm):
+    """Homodyne stationary V as expanded rational functions; exact on Fractions."""
+    den = (1 + 2 * chi - 4 * lm) * (-1 + 2 * chi + 4 * lp)
+    gqq = (-1 + 4 * (1 + chi) * lp - 2 * (1 + 2 * chi) * lp**2
+           + lm**2 * (-2 + 4 * chi + 8 * lp)
+           - 4 * lm * (-1 + chi + 4 * lp - 2 * lp**2)) / (2 * den)
+    sqq = (lm**2 * (1 - 4 * lp) - lp**2 + 4 * lm * lp**2
+           + chi * (-1 + 2 * lm - 2 * lm**2 + 2 * lp - 2 * lp**2)) / den
+    gpp = 1 / (2 * (1 - 4 * chi**2))
+    spp = -chi / (1 - 4 * chi**2)
+    return [[gqq, 0, sqq, 0], [0, gpp, 0, spp], [sqq, 0, gqq, 0], [0, spp, 0, gpp]]
+
+
+def expanded_heterodyne_V(chi, mu):
+    """Heterodyne stationary V as expanded rational functions; exact on Fractions."""
+    den = -1 + 4 * (chi + mu)**2
+    g = (-1 + 4 * chi * mu + 2 * mu**2) / (2 * den)
+    s = -(chi + 2 * chi * mu**2 + 2 * mu**3) / den
+    return [[g, 0, s, 0], [0, g, 0, -s], [s, 0, g, 0], [0, -s, 0, g]]
+
+
+def relative_error_to_exact(V, exact):
+    """max|V - exact| / max|exact|, with the difference taken in exact arithmetic."""
+    scale = max(abs(x) for row in exact for x in row)
+    return float(max(abs(Fraction(float(V[i, j])) - Fraction(exact[i][j]))
+                     for i in range(4) for j in range(4)) / scale)
 
 
 def grid_minimizer(chi, grid=400):
@@ -122,7 +157,6 @@ class TestOptimalNonlocal:
         assert r.m == pytest.approx(0.5, abs=1e-12)
         assert r.L == pytest.approx(1.0, abs=1e-12)
         assert r.S <= 1e-8
-        assert r.recovery_residual <= 1e-8
 
     def test_zero_coupling(self):
         r = optimal_nonlocal(NopoParams(0.0))
@@ -130,16 +164,32 @@ class TestOptimalNonlocal:
         assert r.params["beta"] == pytest.approx(0.0, abs=1e-15)
         assert r.m == pytest.approx(1.0, abs=1e-12)
         assert r.L == pytest.approx(0.0, abs=1e-12)
+        assert f"{r.L:.12g}" == "0"
 
     def test_near_threshold_unbounded_growth(self):
         r = optimal_nonlocal(NopoParams(0.45))
         assert r.L == pytest.approx(-np.log2(0.1), abs=1e-9)
         assert r.L == pytest.approx(3.321928094887362, abs=1e-9)
 
-    @pytest.mark.parametrize("chi", [0.1, 0.25, 0.4])
-    def test_cost_entanglement_duality(self, chi):
-        r = optimal_nonlocal(NopoParams(chi))
-        assert r.L == pytest.approx(-np.log2(r.m), abs=1e-10)
+    @pytest.mark.parametrize("chi", DOMAIN_CHIS)
+    def test_closed_form_over_whole_domain(self, chi):
+        r = optimize_scheme(NopoParams(chi), SchemeId.NONLOCAL)
+        assert r.L == pytest.approx(-np.log2(1 - 2 * chi), rel=1e-12)
+        assert r.S == 0.0
+        assert r.m == pytest.approx(1 - 2 * chi, rel=1e-12)
+        if chi <= 0.45:
+            # Where V is well conditioned, the generic spectra agree.
+            assert log_negativity(r.V) == pytest.approx(r.L, abs=1e-10)
+            assert von_neumann_entropy(r.V) <= 1e-8
+            assert np.trace(cost_matrix() @ r.V.data) == pytest.approx(r.m, abs=1e-12)
+
+    @pytest.mark.parametrize("chi", [0.05, 0.25, 0.45])
+    def test_recovery_cross_check(self, chi):
+        p = NopoParams(chi)
+        u, residual = recover_unravelling(optimize_scheme(p, SchemeId.NONLOCAL).V,
+                                          build_plant(p))
+        assert residual <= 1e-8
+        assert np.max(np.abs(u.upsilon - JOINT_HOMODYNE.upsilon)) <= 1e-12
 
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_purity_across_grid(self, chi):
@@ -203,6 +253,35 @@ class TestHomodyneClosedForm:
                                measurement_model(plant, HOMODYNE_Q))
             V = lyapunov_steady(loop.A_prime, loop.D_prime)
             assert np.max(np.abs(V.data - homodyne_closed_form_V(p, lp, lm).data)) <= 1e-10
+
+
+class TestClosedFormsExact:
+    """The factored closed forms against the expanded ones in exact arithmetic,
+    at each scheme's optimum up to threshold, where the expanded forms cancel."""
+
+    @pytest.mark.parametrize("chi", THRESHOLD_CHIS)
+    def test_homodyne_optima(self, chi):
+        p = NopoParams(chi)
+        # local-i: its optimum chi below 1/6, beyond it the point just inside
+        # the window edge that optimize_scheme reports.
+        x_i = min(chi, 0.25 - chi / 2 - EDGE_MARGIN)
+        for lp, lm in ((x_i, x_i), (0.0, chi), (-chi, chi)):
+            exact = expanded_homodyne_V(Fraction(chi), Fraction(lp), Fraction(lm))
+            V = homodyne_closed_form_V(p, lp, lm).data
+            assert relative_error_to_exact(V, exact) <= 1e-15, (lp, lm)
+
+    @pytest.mark.parametrize("chi", THRESHOLD_CHIS)
+    def test_heterodyne_optimum(self, chi):
+        mu = heterodyne_optimal_mu(chi)
+        exact = expanded_heterodyne_V(Fraction(chi), Fraction(mu))
+        V = heterodyne_closed_form_V(NopoParams(chi), mu).data
+        assert relative_error_to_exact(V, exact) <= 1e-15
+
+    @pytest.mark.parametrize("chi", [0.4999, 0.49999])
+    def test_local_iii_entropy_near_threshold(self, chi):
+        # The expanded form put a symplectic eigenvalue below 1/2 here.
+        # At CHI_MAX the 4x4 eigen-solve itself still loses that precision.
+        assert von_neumann_entropy(homodyne_closed_form_V(NopoParams(chi), 0.0, chi)) > 0
 
 
 class TestHeterodyneClosedForm:

@@ -9,10 +9,9 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
-from entlqg.trajectories import _BLOCK, _trajectory_rng
+from entlqg.trajectories import _BLOCK, _BURN_IN, _trajectory_rng
 from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
 
-OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
 MC_FLOOR = 1e-9
 
@@ -148,7 +147,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0=None):
     covariance.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
-    k_burn = int(cfg.burn_in * n_steps)
+    k_burn = int(_BURN_IN * n_steps)
     A, D = drift_matrix(plant), diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     A_cl = A + gain.BF @ meas.C
@@ -182,8 +181,8 @@ class TestMeanRecursion:
         p = NopoParams(0.25)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.LOCAL_III))
-        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13, burn_in=0.5)
-        n_steps, k_burn = cfg.n_steps, int(cfg.burn_in * cfg.n_steps)
+        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
+        n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
         v0 = open_loop_V(p) if transient else None
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
@@ -400,8 +399,6 @@ class TestValidation:
             SimConfig(dt=0.05)  # above the step cap
         with pytest.raises(ValueError):
             SimConfig(n_traj=0)
-        with pytest.raises(ValueError):
-            SimConfig(burn_in=1.0)
         with pytest.raises(ValueError):
             SimConfig(t_final=1e-5, dt=1e-3)
 

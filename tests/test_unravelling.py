@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, InvalidUnravellingError,
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, InvalidUnravellingError,
                     NoStableSolutionError, NopoParams, NotPositiveSemidefiniteError,
                     PlantModel, Unravelling, build_plant, cbar, diffusion_matrix,
                     drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
@@ -12,12 +12,10 @@ from entlqg.gaussian import CovarianceMatrix
 from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, riccati_map,
                                 riccati_propagator)
 
-OPTIMAL_UPSILON = np.array([[0, -1], [-1, 0]], dtype=complex)
 PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
                                     [0, 0, 1, 1], [0, 0, 1, 1]])
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
-SIGMA_X = Unravelling(-np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def random_unravelling(rng, scale=1.0):
@@ -43,7 +41,7 @@ class TestUMatrix:
         assert np.allclose(u_matrix(HETERODYNE), np.eye(4) / 2, atol=1e-15)
 
     def test_optimal(self):
-        assert np.allclose(u_matrix(Unravelling(OPTIMAL_UPSILON)), PRINTED_OPTIMAL_U,
+        assert np.allclose(u_matrix(JOINT_HOMODYNE), PRINTED_OPTIMAL_U,
                            atol=1e-15)
 
     def test_indefinite_rejected(self):
@@ -108,7 +106,7 @@ class TestPsdSqrt:
 class TestMeasurementModel:
     def test_optimal_unravelling_printed_C(self):
         plant = build_plant(NopoParams(0.25))
-        meas = measurement_model(plant, Unravelling(OPTIMAL_UPSILON))
+        meas = measurement_model(plant, JOINT_HOMODYNE)
         assert np.allclose(meas.C, PRINTED_OPTIMAL_C, atol=1e-12)
 
     def test_q_homodyne_selects_positions(self):
@@ -171,14 +169,14 @@ class TestRiccatiRhs:
 
 
 class TestRiccatiSteady:
-    @pytest.mark.parametrize("chi, u", [(0.25, HETERODYNE), (0.1, SIGMA_X)])
+    @pytest.mark.parametrize("chi, u", [(0.25, HETERODYNE), (0.1, JOINT_HOMODYNE)])
     def test_matches_rk4_relaxation(self, chi, u):
         plant = build_plant(NopoParams(chi))
         W = riccati_steady(plant, u).data
         assert np.max(np.abs(W - rk4_relaxation(plant, u))) <= 1e-10
 
     @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45])
-    @pytest.mark.parametrize("u", [HOMODYNE_Q, HETERODYNE, SIGMA_X,
+    @pytest.mark.parametrize("u", [HOMODYNE_Q, HETERODYNE, JOINT_HOMODYNE,
                                    random_unravelling(np.random.default_rng(29))],
                              ids=["homodyne-q", "heterodyne", "sigma-x", "random"])
     def test_result_meets_the_simulator_hold_rule(self, chi, u):
@@ -206,7 +204,7 @@ class TestRiccatiSteady:
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     def test_optimal_unravelling_reaches_family_pattern(self, chi):
         p = NopoParams(chi)
-        W = riccati_steady(build_plant(p), Unravelling(OPTIMAL_UPSILON))
+        W = riccati_steady(build_plant(p), JOINT_HOMODYNE)
         alpha, beta = optimal_nonlocal_alpha_beta(chi)
         assert np.max(np.abs(W.data - symmetric_family_W(alpha, beta).data)) <= 1e-8
 
@@ -232,7 +230,7 @@ class TestRiccatiSteady:
         from entlqg import riccati_rhs, symplectic_form
         p = NopoParams(0.3)
         plant = build_plant(p)
-        for u in (Unravelling(OPTIMAL_UPSILON), HOMODYNE_Q, HETERODYNE):
+        for u in (JOINT_HOMODYNE, HOMODYNE_Q, HETERODYNE):
             W = riccati_steady(plant, u)
             A, D = drift_matrix(plant), diffusion_matrix(plant)
             meas = measurement_model(plant, u)
