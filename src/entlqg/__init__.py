@@ -20,7 +20,7 @@ from .unravelling import (LmiReport, MeasurementModel, Unravelling, cbar, lmi_fe
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE,
                    NopoParams, SchemeId, SchemeResult, build_plant,
-                   closed_loop_for_scheme, cost_matrix, heterodyne_closed_form_V,
+                   closed_loop_for_scheme, conditional_V, cost_matrix, heterodyne_closed_form_V,
                    heterodyne_gain, heterodyne_optimal_mu, heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
                    homodyne_stable, open_loop_V, optimal_nonlocal,
                    optimal_nonlocal_alpha_beta, optimize_scheme, scheme_curves,
@@ -38,7 +38,8 @@ __all__ = [
     "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
     "SimConfig", "StabilityError", "TrajectoryDivergenceError",
     "TrajectoryStats", "Unravelling", "UnphysicalStateError",
-    "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "cost_matrix",
+    "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "conditional_V",
+    "cost_matrix",
     "diffusion_matrix", "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",
     "heterodyne_optimal_mu", "heterodyne_stable", "homodyne_closed_form_V",
     "homodyne_gain", "homodyne_stable", "integrate_moments", "is_hurwitz",

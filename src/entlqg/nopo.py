@@ -5,7 +5,8 @@ dimensionless strength chi (cavity linewidth units); chi < 1/2 is the
 instability threshold. This module builds the plant and alone knows its
 schemes: their measurements, gains and stability windows, with one table
 (``_SCALAR_SCHEMES``) for the scalar ones. It gives closed forms for the
-stationary covariances of every scheme, optimizes each scheme's scalar
+stationary covariances of every scheme and for the conditional covariance
+each measurement leaves (``conditional_V``), optimizes each scheme's scalar
 parameter, and generates entanglement/entropy curves.
 
 Every stationary state here has the symmetric two-block pattern
@@ -127,22 +128,43 @@ def heterodyne_gain(mu: float) -> FeedbackGain:
     return FeedbackGain(BF=BF)
 
 
+def _homodyne_W(chi: float) -> CovarianceMatrix:
+    """Conditional covariance under q-homodyne: q+- = (1 +- 2chi)/2, p+- = 1/(2(1 +- 2chi)).
+
+    q+ p+ = q- p- = 1/4: the state is pure.
+    """
+    return _epr_state((1 + 2 * chi) / 2, (1 - 2 * chi) / 2,
+                      0.5 / (1 + 2 * chi), 0.5 / (1 - 2 * chi))
+
+
+def _heterodyne_W(chi: float) -> CovarianceMatrix:
+    """Conditional covariance under heterodyne: q+- = g +- chi, p+- = g -+ chi.
+
+    g = sqrt(1 + 4 chi^2)/2, so q+ p+ = q- p- = 1/4: the state is pure.
+    """
+    g = np.hypot(0.5, chi)
+    return _epr_state(g + chi, g - chi, g - chi, g + chi)
+
+
 class _Family(NamedTuple):
-    """A measurement: parameter name, unravelling, stability bounds(chi), V(p, *g), gain(*g)."""
+    """A measurement: parameter name, unravelling, stability bounds(chi), V(p, *g), gain(*g),
+    and W(chi), the stationary conditional covariance the measurement alone sets."""
 
     param: str
     unravelling: Unravelling
     bounds: Callable[[float], tuple[float, float]]
     V: Callable[..., CovarianceMatrix]
     gain: Callable[..., FeedbackGain]
+    W: Callable[[float], CovarianceMatrix]
 
 
 # V and gain look their functions up in the module globals at each call.
 _HOMODYNE = _Family("lambda", HOMODYNE_Q, lambda chi: (0.25 - chi / 2, 0.25 + chi / 2),
-                    lambda p, *g: homodyne_closed_form_V(p, *g), lambda *g: homodyne_gain(*g))
+                    lambda p, *g: homodyne_closed_form_V(p, *g), lambda *g: homodyne_gain(*g),
+                    _homodyne_W)
 _HETERODYNE = _Family("mu", HETERODYNE, lambda chi: (-0.5 - chi, 0.5 - chi),
                       lambda p, *g: heterodyne_closed_form_V(p, *g),
-                      lambda *g: heterodyne_gain(*g))
+                      lambda *g: heterodyne_gain(*g), _heterodyne_W)
 
 
 def homodyne_stable(chi: float, lam_plus: float, lam_minus: float) -> bool:
@@ -346,6 +368,20 @@ def scheme_realization(p: NopoParams, result: SchemeResult):
         return JOINT_HOMODYNE, optimal_gain(result.V, meas)
     family, gains, _ = _SCALAR_SCHEMES[scheme]
     return family.unravelling, family.gain(*gains(result.params[family.param]))
+
+
+def conditional_V(p: NopoParams, scheme: SchemeId) -> CovarianceMatrix:
+    """Closed-form stationary conditional covariance W of a scheme's measurement.
+
+    W solves the Riccati equation of the measurement alone, whatever the gain:
+    the q-homodyne state for the local schemes and ``none``, the heterodyne
+    state, and for ``nonlocal`` the optimum's V, which its gain makes the
+    unconditional state too.
+    """
+    if scheme is SchemeId.NONLOCAL:
+        return optimal_nonlocal(p).V
+    family = _HOMODYNE if scheme is SchemeId.NONE else _SCALAR_SCHEMES[scheme][0]
+    return family.W(p.chi)
 
 
 def closed_loop_for_scheme(p: NopoParams, result: SchemeResult) -> ClosedLoop:

@@ -3,13 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entlqg import (CHI_MAX, JOINT_HOMODYNE, NopoParams, SchemeId, StabilityError,
-                    build_plant, closed_loop_for_scheme, cost_matrix,
-                    diffusion_matrix, drift_matrix, epr_variance,
-                    heterodyne_closed_form_V, heterodyne_optimal_mu,
-                    homodyne_closed_form_V, log_negativity, lyapunov_steady,
-                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
-                    optimize_scheme, recover_unravelling, scheme_curves,
+from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
+                    SchemeId, StabilityError, build_plant, closed_loop_for_scheme,
+                    conditional_V, cost_matrix, diffusion_matrix, drift_matrix,
+                    epr_variance, heterodyne_closed_form_V, heterodyne_optimal_mu,
+                    homodyne_closed_form_V, is_hurwitz, lmi_feasible, log_negativity,
+                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal,
+                    optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
+                    riccati_rhs, riccati_steady, scheme_curves, scheme_realization,
                     symmetric_family_W, von_neumann_entropy)
 from entlqg.nopo import EDGE_MARGIN
 
@@ -443,3 +444,42 @@ class TestEprBound:
                 V = lyapunov_steady(loop.A_prime, loop.D_prime)
                 scale = max(1.0, np.max(np.abs(r.V.data)))
                 assert np.max(np.abs(V.data - r.V.data)) <= 1e-9 * scale, (chi, scheme)
+
+
+# The three measurements, each by a scheme that uses it.
+MEASUREMENTS = {SchemeId.LOCAL_III: HOMODYNE_Q, SchemeId.HETERODYNE: HETERODYNE,
+                SchemeId.NONLOCAL: JOINT_HOMODYNE}
+
+
+def riccati_certificate(chi, u, W):
+    """max|dW/dt| / max|W| under unravelling u, and the filter matrix A - Gamma^T C - W C^T C."""
+    plant = build_plant(NopoParams(chi))
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
+    meas = measurement_model(plant, u)
+    rel = np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, W))) / np.max(np.abs(W))
+    return rel, A - meas.Gamma.T @ meas.C - W @ meas.C.T @ meas.C
+
+
+class TestConditionalV:
+    @pytest.mark.parametrize("chi", (0.05, 0.25, 0.45))
+    @pytest.mark.parametrize("scheme", MEASUREMENTS)
+    def test_matches_riccati_relaxation(self, scheme, chi):
+        W = conditional_V(NopoParams(chi), scheme).data
+        relaxed = riccati_steady(build_plant(NopoParams(chi)), MEASUREMENTS[scheme]).data
+        assert np.max(np.abs(W - relaxed)) <= 1e-10 * np.max(np.abs(W))
+
+    @pytest.mark.parametrize("chi", DOMAIN_CHIS)
+    @pytest.mark.parametrize("scheme", MEASUREMENTS)
+    def test_stabilizing_solution_over_whole_domain(self, scheme, chi):
+        W = conditional_V(NopoParams(chi), scheme)
+        rel, F = riccati_certificate(chi, MEASUREMENTS[scheme], W.data)
+        assert rel <= 1e-14
+        assert is_hurwitz(F)
+        assert lmi_feasible(W, build_plant(NopoParams(chi))).feasible
+
+    def test_every_scheme_gets_the_state_of_its_measurement(self):
+        p = NopoParams(0.25)
+        for scheme in SchemeId:
+            u, _ = scheme_realization(p, optimize_scheme(p, scheme))
+            rel, _ = riccati_certificate(p.chi, u, conditional_V(p, scheme).data)
+            assert rel <= 1e-14, scheme
