@@ -10,10 +10,10 @@ means are regulated to zero so the two coincide.
 
 import numpy as np
 
-from entlqg import (HOMODYNE_Q, FeedbackGain, NopoParams, SimConfig, build_plant,
-                    cost_matrix, open_loop_V, optimal_nonlocal, regulation_cost,
-                    regulation_cost_sem, riccati_steady, scheme_realization,
-                    simulate_conditional)
+from entlqg import (HOMODYNE_Q, FeedbackGain, NopoParams, SchemeId, SimConfig,
+                    build_plant, conditional_V, cost_matrix, open_loop_V,
+                    optimal_nonlocal, regulation_cost, regulation_cost_sem,
+                    riccati_steady, scheme_realization, simulate_conditional)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -28,7 +28,7 @@ W = riccati_steady(plant, u)
 cfg = SimConfig(t_final=20.0, n_traj=500, seed=7)
 print(f"simulating {cfg.n_traj} trajectories at chi = {chi} "
       f"(dt = {cfg.dt}, horizon = {cfg.t_final}) ...")
-stats = simulate_conditional(plant, u, gain, cfg)
+stats = simulate_conditional(plant, u, gain, cfg, v0=W)
 
 print(f"|Vc(T) - W|_inf                  = "
       f"{np.max(np.abs(stats.v_c_final.data - W.data)):.2e}")
@@ -45,7 +45,8 @@ print("\nzero-gain control run at chi = 0.25 (conditioning without feedback):")
 p = NopoParams(0.25)
 plant = build_plant(p)
 cfg = SimConfig(t_final=40.0, n_traj=400, seed=11)
-stats = simulate_conditional(plant, HOMODYNE_Q, FeedbackGain(np.zeros((4, 4))), cfg)
+stats = simulate_conditional(plant, HOMODYNE_Q, FeedbackGain(np.zeros((4, 4))), cfg,
+                             v0=conditional_V(p, SchemeId.NONE))
 
 V_open = open_loop_V(p).data
 diff = np.abs(stats.v_unconditional - V_open)

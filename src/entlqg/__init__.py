@@ -7,15 +7,15 @@ stationary state. All logarithmic quantities are in bits (base 2).
 """
 
 from .errors import (EntlqgError, InvalidUnravellingError, NoStableSolutionError,
-                     NotPositiveSemidefiniteError, NumericalError, RecoveryError,
-                     StabilityError, TrajectoryDivergenceError, UnphysicalStateError)
+                     NumericalError, RecoveryError, StabilityError,
+                     TrajectoryDivergenceError, UnphysicalStateError)
 from .gaussian import (CovarianceMatrix, epr_variance, is_physical, log_negativity,
                        partial_transpose, symplectic_eigenvalues, symplectic_form,
                        von_neumann_entropy)
 from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
                        is_hurwitz, lyapunov_steady)
 from .unravelling import (LmiReport, MeasurementModel, Unravelling, cbar, lmi_feasible,
-                          measurement_model, psd_sqrt, recover_unravelling, riccati_rhs,
+                          measurement_model, recover_unravelling, riccati_rhs,
                           riccati_steady, s_matrix, u_matrix)
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE,
@@ -34,8 +34,7 @@ __all__ = [
     "CHI_MAX", "CURVE_SCHEMES", "ClosedLoop", "CovarianceMatrix",
     "EntlqgError", "FeedbackGain", "HETERODYNE", "HOMODYNE_Q", "JOINT_HOMODYNE",
     "InvalidUnravellingError", "LmiReport", "MeasurementModel",
-    "NoStableSolutionError", "NopoParams", "NotPositiveSemidefiniteError",
-    "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
+    "NoStableSolutionError", "NopoParams", "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
     "SimConfig", "StabilityError", "TrajectoryDivergenceError",
     "TrajectoryStats", "Unravelling", "UnphysicalStateError",
     "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "conditional_V",
@@ -46,7 +45,7 @@ __all__ = [
     "is_physical", "lmi_feasible", "log_negativity", "lyapunov_steady",
     "measurement_model", "open_loop_V", "optimal_gain", "optimal_nonlocal",
     "optimal_nonlocal_alpha_beta", "optimize_scheme", "partial_transpose",
-    "psd_sqrt", "recover_unravelling", "regulation_cost", "regulation_cost_sem",
+    "recover_unravelling", "regulation_cost", "regulation_cost_sem",
     "riccati_rhs", "riccati_steady", "s_matrix", "scheme_curves",
     "scheme_realization", "simulate_conditional", "symmetric_family_W",
     "symplectic_eigenvalues", "symplectic_form", "u_matrix", "von_neumann_entropy",

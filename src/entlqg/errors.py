@@ -15,10 +15,6 @@ class NumericalError(EntlqgError):
     """A numerical consistency check failed (residuals, eigenvalue pairing)."""
 
 
-class NotPositiveSemidefiniteError(EntlqgError):
-    """A matrix required to be positive semidefinite is not."""
-
-
 class InvalidUnravellingError(EntlqgError):
     """The unravelling matrix derived from upsilon is not positive semidefinite."""
 

@@ -56,7 +56,7 @@ class NopoParams:
 
     def __post_init__(self):
         if not 0.0 <= self.chi <= CHI_MAX:
-            raise ValueError(f"chi must be in [0, {CHI_MAX}], got {self.chi}")
+            raise ValueError(f"chi must satisfy 0 <= chi <= {CHI_MAX}, got {self.chi}")
 
 
 class SchemeId(str, enum.Enum):
@@ -348,7 +348,8 @@ def scheme_curves(chi_min: float, chi_max: float, steps: int,
                   schemes: tuple[SchemeId, ...] = CURVE_SCHEMES) -> list[SchemeResult]:
     """Optimize each scheme on a chi grid; rows ordered by (chi, scheme)."""
     if not 0.0 <= chi_min < chi_max <= CHI_MAX:
-        raise ValueError(f"require 0 <= chi_min < chi_max <= {CHI_MAX}")
+        raise ValueError(f"require 0 <= chi_min < chi_max <= {CHI_MAX}, got "
+                         f"[{chi_min}, {chi_max}]")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     grid = np.linspace(chi_min, chi_max, steps) if steps > 1 else np.array([chi_min])

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import PlantModel, _expm, diffusion_matrix, drift_matrix, lyapunov_steady
-from .errors import (InvalidUnravellingError, NoStableSolutionError,
-                     NotPositiveSemidefiniteError, NumericalError, RecoveryError)
+from .errors import (InvalidUnravellingError, NoStableSolutionError, NumericalError,
+                     RecoveryError)
 from .gaussian import CovarianceMatrix, symplectic_form
 
 U_PSD_TOL = 1e-9
@@ -56,17 +56,21 @@ class MeasurementModel:
     Gamma: np.ndarray
 
 
-def u_matrix(u: Unravelling) -> np.ndarray:
-    """Real unravelling matrix (1/2) [[I + Re Y, Im Y], [Im Y, I - Re Y]]; must be PSD."""
+def _u_eigh(u: Unravelling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U with its eigendecomposition; rejects U with an eigenvalue below -U_PSD_TOL."""
     Y = u.upsilon
-    L = u.n_channels
-    I = np.eye(L)
+    I = np.eye(u.n_channels)
     U = 0.5 * np.block([[I + Y.real, Y.imag], [Y.imag, I - Y.real]])
-    w = np.linalg.eigvalsh(U)
+    w, Q = np.linalg.eigh(U)
     if w.min() < -U_PSD_TOL:
         raise InvalidUnravellingError(
             f"unravelling matrix indefinite (min eigenvalue {w.min():.3e})")
-    return U
+    return U, w, Q
+
+
+def u_matrix(u: Unravelling) -> np.ndarray:
+    """Real unravelling matrix (1/2) [[I + Re Y, Im Y], [Im Y, I - Re Y]]; must be PSD."""
+    return _u_eigh(u)[0]
 
 
 def cbar(Ctilde: np.ndarray) -> np.ndarray:
@@ -82,28 +86,19 @@ def s_matrix(n_channels: int) -> np.ndarray:
     return np.block([[Z, I], [-I, Z]])
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition.
-
-    Eigenvalues within a relative 1e-12 of zero are treated as exactly zero:
-    the square root would otherwise turn O(eps) eigenvalue noise of singular
-    matrices (projectors in particular) into O(sqrt(eps)) entries.
-    """
-    M = np.asarray(M, dtype=float)
-    w, Q = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min() < -1e-10:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w.min():.3e} below -1e-10")
-    w[w < 1e-12 * max(1.0, w.max())] = 0.0
-    return Q @ np.diag(np.sqrt(w)) @ Q.T
-
-
 def measurement_model(plant: PlantModel, u: Unravelling) -> MeasurementModel:
-    """C = 2 U^{1/2} Cbar and Gamma = -U^{1/2} S Cbar Sigma^T for the given unravelling."""
+    """C = 2 U^{1/2} Cbar and Gamma = -U^{1/2} S Cbar Sigma^T for the given unravelling.
+
+    Eigenvalues of U within a relative 1e-12 of zero are taken as exactly
+    zero: the square root would otherwise turn O(eps) eigenvalue noise of a
+    singular U (a projector in particular) into O(sqrt(eps)) entries.
+    """
     if u.n_channels != plant.n_channels:
         raise ValueError(
             f"unravelling has {u.n_channels} channels, plant has {plant.n_channels}")
-    Us = psd_sqrt(u_matrix(u))
+    _, w, Q = _u_eigh(u)
+    w[w < 1e-12 * max(1.0, w.max())] = 0.0
+    Us = Q @ np.diag(np.sqrt(w)) @ Q.T
     Cb = cbar(plant.Ctilde)
     S = s_matrix(plant.n_channels)
     Sig = symplectic_form(plant.n_modes)

@@ -237,7 +237,7 @@ def test_criterion_09_monte_carlo_oracle():
     u, gain = scheme_realization(p, result)
     W = riccati_steady(plant, u)
     cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=1000, seed=7)
-    stats = simulate_conditional(plant, u, gain, cfg)
+    stats = simulate_conditional(plant, u, gain, cfg, v0=W)
 
     dv = np.max(np.abs(stats.v_c_final.data - W.data))
     if dv > 1e-6:

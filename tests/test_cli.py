@@ -110,7 +110,10 @@ class TestCurves:
         result = runner.invoke(main, ["curves", "--chi-min", "0.4", "--chi-max",
                                       "0.4999995"])
         assert result.exit_code == 2
-        assert f"chi-max <= {CHI_MAX}" in result.output
+        assert f"chi_max <= {CHI_MAX}, got [0.4, 0.4999995]" in result.output
+        result = runner.invoke(main, ["curves", "--steps", "0"])
+        assert result.exit_code == 2
+        assert "steps must be >= 1" in result.output
 
     def test_unknown_scheme(self, runner):
         result = runner.invoke(main, ["curves", "--schemes", "bogus"])
@@ -194,12 +197,18 @@ class TestVerifyNearThreshold:
         result = runner.invoke(main, ["verify", "--chi", "0.4999", "--scheme", scheme,
                                       "--ntraj", "16"])
         assert time.perf_counter() - start <= self.WALL_BOUND_S
-        # Exit 1 is a failed Monte-Carlo check near threshold (see README.md);
-        # heterodyne's filter stays fast there and passes every check.
+        # local-iii fails a Monte-Carlo check near threshold (exit 1, see
+        # README.md); nonlocal and heterodyne pass every check.
         assert result.exit_code in (0, 1), result.output
         assert "[PASS] stabilizing Riccati solution" in result.output
-        if scheme == "heterodyne":
+        if scheme != "local-iii":
             assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("scheme", ["nonlocal", "heterodyne"])
+    def test_passes_at_chi_max(self, runner, scheme):
+        result = runner.invoke(main, ["verify", "--chi", str(CHI_MAX), "--scheme", scheme,
+                                      "--ntraj", "16"])
+        assert result.exit_code == 0, result.output
 
 
 class TestRecover:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel,
-                    SchemeId, SimConfig, StabilityError, Unravelling, build_plant,
-                    closed_loop, closed_loop_for_scheme, cost_matrix,
+from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
+                    PlantModel, SchemeId, SimConfig, StabilityError, Unravelling, build_plant,
+                    closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, lyapunov_steady,
                     measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
@@ -11,16 +11,22 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams, PlantModel
                     simulate_conditional)
 from entlqg.trajectories import _BLOCK, _BURN_IN, _trajectory_rng
 from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
+from rk4 import rk4_step
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
 MC_FLOOR = 1e-9
+
+
+def q_homodyne_W(chi):
+    """Stationary conditional covariance under q-homodyne detection, in closed form."""
+    return conditional_V(NopoParams(chi), SchemeId.NONE)
 
 
 @pytest.fixture(scope="module")
 def zero_gain_run():
     plant = build_plant(NopoParams(0.25))
     cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=11)
-    return simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
+    return simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=q_homodyne_W(0.25))
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +35,16 @@ def optimal_run():
     plant = build_plant(p)
     u, gain = scheme_realization(p, optimal_nonlocal(p))
     cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=200, seed=5)
-    return plant, u, simulate_conditional(plant, u, gain, cfg)
+    stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
+    return plant, u, stats
 
 
 class TestDeterminism:
     def test_identical_seed_bitwise(self):
         plant = build_plant(NopoParams(0.2))
         cfg = SimConfig(dt=1e-2, t_final=5.0, n_traj=16, seed=99)
-        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
-        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
+        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=q_homodyne_W(0.2))
+        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=q_homodyne_W(0.2))
         assert np.array_equal(a.mean_outer, b.mean_outer)
         assert np.array_equal(a.outer_by_traj, b.outer_by_traj)
         assert np.array_equal(a.mean_by_traj, b.mean_by_traj)
@@ -49,7 +56,8 @@ class TestDeterminism:
         plant = build_plant(NopoParams(0.2))
         small, large = (simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN,
                                              SimConfig(dt=1e-2, t_final=5.0, n_traj=k,
-                                                       seed=17))
+                                                       seed=17),
+                                             v0=q_homodyne_W(0.2))
                         for k in (5, 300))
         assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:5])
         assert np.array_equal(small.mean_by_traj, large.mean_by_traj[:5])
@@ -58,8 +66,8 @@ class TestDeterminism:
         plant = build_plant(NopoParams(0.2))
         cfg1 = SimConfig(dt=1e-2, t_final=5.0, n_traj=16, seed=1)
         cfg2 = SimConfig(dt=1e-2, t_final=5.0, n_traj=16, seed=2)
-        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg1)
-        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg2)
+        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg1, v0=q_homodyne_W(0.2))
+        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg2, v0=q_homodyne_W(0.2))
         assert not np.array_equal(a.mean_outer, b.mean_outer)
 
 
@@ -69,16 +77,6 @@ class TestConditionalCovariance:
         W = riccati_steady(plant, u)
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
 
-    def test_default_start_is_the_riccati_start(self):
-        plant = build_plant(NopoParams(0.25))
-        cfg = SimConfig(dt=1e-2, t_final=10.0, n_traj=8, seed=4)
-        a = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg)
-        b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg,
-                                 v0=riccati_steady(plant, HOMODYNE_Q))
-        for field in ("mean_outer", "v_unconditional", "outer_by_traj", "mean_by_traj"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert np.array_equal(a.v_c_final.data, b.v_c_final.data)
-
     def test_fixed_point_start_is_kept_exactly(self):
         p = NopoParams(0.25)
         plant = build_plant(p)
@@ -86,6 +84,18 @@ class TestConditionalCovariance:
         cfg = SimConfig(dt=1e-2, t_final=3.0, n_traj=2, seed=0)
         stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg, v0=W)
         assert np.array_equal(stats.v_c_final.data, W.data)
+
+    def test_fixed_point_at_chi_max_is_held(self):
+        # max|dW/dt| is 3e-11 on max|W| = 1.25e5: a fixed point relative to
+        # the size of W, held exactly, so the zero noise coefficient draws nothing
+        p = NopoParams(CHI_MAX)
+        plant = build_plant(p)
+        result = optimal_nonlocal(p)
+        u, gain = scheme_realization(p, result)
+        cfg = SimConfig(t_final=5.0, n_traj=4, seed=0)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=result.V)
+        assert np.array_equal(stats.v_c_final.data, result.V.data)
+        assert np.all(stats.outer_by_traj == 0)
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3])
     def test_transient_matches_rk4(self, dt):
@@ -96,13 +106,8 @@ class TestConditionalCovariance:
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, HOMODYNE_Q)
         V = open_loop_V(p).data
-        h = 1e-3
         for _ in range(2000):
-            k1 = riccati_rhs(A, D, meas.C, meas.Gamma, V)
-            k2 = riccati_rhs(A, D, meas.C, meas.Gamma, V + 0.5 * h * k1)
-            k3 = riccati_rhs(A, D, meas.C, meas.Gamma, V + 0.5 * h * k2)
-            k4 = riccati_rhs(A, D, meas.C, meas.Gamma, V + h * k3)
-            V = V + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            V = rk4_step(lambda X: riccati_rhs(A, D, meas.C, meas.Gamma, X), V, 1e-3)
         cfg = SimConfig(dt=dt, t_final=2.0, n_traj=2, seed=0)
         stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=open_loop_V(p))
         assert np.max(np.abs(V - open_loop_V(p).data)) > 1e-2   # a real transient
@@ -138,13 +143,12 @@ def _expm_by_eig(M):
     return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
 
 
-def _midpoint_reference(plant, u, gain, cfg, v0=None):
+def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
     """Per-step exponential-midpoint means on the simulator's own draws.
 
     From ``v0`` the covariance is stepped one linear-fractional map at a
-    time over the whole horizon; with ``v0=None`` it is riccati_steady's W,
-    held. Returns the time-averaged means and outer products, and the final
-    covariance.
+    time over the whole horizon, or with ``held`` kept at ``v0``. Returns
+    the time-averaged means and outer products, and the final covariance.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
@@ -153,7 +157,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0=None):
     A_cl = A + gain.BF @ meas.C
     half = _expm_by_eig(0.5 * dt * A_cl)
     Phi_mean = half @ half
-    V = (riccati_steady(plant, u) if v0 is None else v0).data
+    V = v0.data
     n = len(V)
     Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
     noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
@@ -163,7 +167,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0=None):
     for k in range(n_steps):
         K = V @ meas.C.T + meas.Gamma.T + gain.BF
         X = X @ Phi_mean.T + noise[:, k] @ (half @ K).T
-        if v0 is not None:
+        if not held:
             V = ((Phi[:n, :n] @ V + Phi[:n, n:])
                  @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
         if k >= k_burn:
@@ -184,9 +188,9 @@ class TestMeanRecursion:
         cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
-        v0 = open_loop_V(p) if transient else None
+        v0 = open_loop_V(p) if transient else riccati_steady(plant, u)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-        refs = _midpoint_reference(plant, u, gain, cfg, v0)
+        refs = _midpoint_reference(plant, u, gain, cfg, v0, held=not transient)
         for got, ref in zip((stats.mean_by_traj, stats.outer_by_traj,
                              stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -330,7 +334,7 @@ class TestUnconditionalDecomposition:
         loop = closed_loop_for_scheme(p, result)
         plant = build_plant(p)
         cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=3)
-        stats = simulate_conditional(plant, u, gain, cfg)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
         V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
         tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
         assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
@@ -347,7 +351,7 @@ class TestUnconditionalDecomposition:
                            measurement_model(plant, u))
         V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
         cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=2)
-        stats = simulate_conditional(plant, u, gain, cfg)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
         tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
         assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
         assert np.max(np.abs(stats.mean_outer)) > 1e-2   # the noise drives the means
@@ -371,7 +375,7 @@ class TestRegulationCost:
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimal_nonlocal(p))
         cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=100, seed=21)
-        stats = simulate_conditional(plant, u, gain, cfg)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
         cost = regulation_cost(stats, cost_matrix())
         tol = 3.0 * regulation_cost_sem(stats, cost_matrix()) + MC_FLOOR
         assert abs(cost - 0.5) <= tol
@@ -392,7 +396,8 @@ class TestValidation:
         from entlqg import homodyne_gain
         with pytest.raises(StabilityError):
             simulate_conditional(plant, HOMODYNE_Q, homodyne_gain(0.3, 0.0),
-                                 SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0))
+                                 SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0),
+                                 v0=q_homodyne_W(0.25))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -412,4 +417,5 @@ class TestValidation:
         plant = build_plant(NopoParams(0.25))
         with pytest.warns(UserWarning, match="slowest closed-loop time constant"):
             simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN,
-                                 SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0))
+                                 SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0),
+                                 v0=q_homodyne_W(0.25))

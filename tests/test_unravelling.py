@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, InvalidUnravellingError,
-                    NoStableSolutionError, NopoParams, NotPositiveSemidefiniteError,
-                    PlantModel, Unravelling, build_plant, cbar, diffusion_matrix,
-                    drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
-                    open_loop_V, optimal_nonlocal_alpha_beta, psd_sqrt,
-                    recover_unravelling, riccati_rhs, riccati_steady,
-                    symmetric_family_W, u_matrix)
+                    NoStableSolutionError, NopoParams, PlantModel, Unravelling,
+                    build_plant, cbar, diffusion_matrix, drift_matrix, lmi_feasible,
+                    lyapunov_steady, measurement_model, open_loop_V,
+                    optimal_nonlocal_alpha_beta, recover_unravelling, riccati_rhs,
+                    riccati_steady, symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
 from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, riccati_map,
                                 riccati_propagator)
+from rk4 import rk4_step
 
 PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
                                     [0, 0, 1, 1], [0, 0, 1, 1]])
@@ -73,34 +73,44 @@ class TestCbar:
 
 
 class TestPsdSqrt:
+    """The PSD root of U that measurement_model takes, read off C = 2 U^{1/2} Cbar."""
+
+    @staticmethod
+    def root(u):
+        # Cbar of the oscillator is 1/sqrt(2) times a permutation, so it inverts exactly.
+        plant = build_plant(NopoParams(0.25))
+        return 0.5 * measurement_model(plant, u).C @ np.linalg.inv(cbar(plant.Ctilde))
+
     def test_projector_is_own_root(self):
-        assert np.allclose(psd_sqrt(PRINTED_OPTIMAL_U), PRINTED_OPTIMAL_U, atol=1e-12)
+        assert np.allclose(self.root(JOINT_HOMODYNE), PRINTED_OPTIMAL_U, atol=1e-12)
 
     def test_scaled_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(4) / 2), np.eye(4) / np.sqrt(2), atol=1e-14)
+        assert np.allclose(self.root(HETERODYNE), np.eye(4) / np.sqrt(2), atol=1e-14)
 
     def test_singular_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]),
+        assert np.allclose(self.root(HOMODYNE_Q), np.diag([1.0, 1.0, 0.0, 0.0]),
                            atol=1e-14)
 
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            R = rng.normal(size=(4, 4))
-            M = R @ R.T
-            root = psd_sqrt(M)
-            assert np.max(np.abs(root @ root - M)) <= 1e-10 * max(1, np.max(np.abs(M)))
-
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            psd_sqrt(np.diag([1.0, -1.0]))
+        with pytest.raises(InvalidUnravellingError):
+            measurement_model(build_plant(NopoParams(0.25)),
+                              Unravelling(3.0 * np.eye(2, dtype=complex)))
+
+    def test_rounding_negative_eigenvalue_is_zeroed(self):
+        # U's least eigenvalue is -5e-10, inside u_matrix's -1e-9 tolerance:
+        # accepted once and taken as zero in the root
+        u = Unravelling(np.diag([1.0 + 1e-9, 1.0]).astype(complex))
+        assert np.linalg.eigvalsh(u_matrix(u)).min() == pytest.approx(-5e-10, rel=1e-3)
+        root = self.root(u)
+        assert np.all(np.isfinite(root))
+        assert np.max(np.abs(root @ root - u_matrix(u))) <= 1e-9
 
     def test_square_recovers_unravelling_matrices(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            U = u_matrix(random_unravelling(rng))
-            root = psd_sqrt(U)
-            assert np.max(np.abs(root @ root - U)) <= 1e-10
+            u = random_unravelling(rng)
+            root = self.root(u)
+            assert np.max(np.abs(root @ root - u_matrix(u))) <= 1e-10
 
 
 class TestMeasurementModel:
@@ -142,10 +152,7 @@ def rk4_relaxation(plant, u, dt=0.01):
         k1 = rhs(V)
         if np.max(np.abs(k1)) <= RICCATI_DERIVATIVE_TOL:
             return V
-        k2 = rhs(V + 0.5 * dt * k1)
-        k3 = rhs(V + 0.5 * dt * k2)
-        k4 = rhs(V + dt * k3)
-        V = V + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        V = rk4_step(rhs, V, dt, k1)
         V = 0.5 * (V + V.T)
     raise AssertionError("RK4 oracle did not converge")
 
