@@ -283,11 +283,13 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
                  f"relative residual {rel:.3e} (tol {RICCATI_REL_TOL:.0e}), "
                  f"filter gap {np.linalg.eigvals(F).real.max():.3e}", lines)
 
+    scale = max(1.0, np.max(np.abs(W.data)))
     dv = np.max(np.abs(stats.v_c_final.data - W.data))
-    ok &= _check("conditional covariance fixed point", dv <= 1e-6,
-                 f"|Vc(T) - W|_inf = {dv:.3e} (tol 1e-06)", lines)
+    tol_dv = 1e-6 * scale
+    ok &= _check("conditional covariance fixed point", dv <= tol_dv,
+                 f"|Vc(T) - W|_inf = {dv:.3e} (tol {tol_dv:.3g})", lines)
 
-    floor = MC_FLOOR * max(1.0, np.max(np.abs(W.data)))
+    floor = MC_FLOOR * scale
     tol_dec = 5.0 * stats.mean_outer_sem() + floor
     excess = np.max(np.abs(stats.v_unconditional - V_pred.data) - tol_dec)
     ok &= _check("covariance decomposition", excess <= 0,

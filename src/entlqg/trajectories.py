@@ -9,7 +9,9 @@ first block on which it reaches a fixed point. The conditional means follow
 a linear SDE driven by the measurement noise and are stepped for all
 trajectories at once by an exponential-midpoint rule: the drift is applied
 exactly, as e^{A_cl dt}, and each increment is carried through half a step
-of it. Noise is drawn in blocks of time steps, so peak memory does not
+of it. Under a held covariance the means start, at the end of the burn-in,
+in the exact stationary law of that recursion, and only the kept window is
+stepped. Noise is drawn in blocks of time steps, so peak memory does not
 depend on the horizon; where the noise coefficient is exactly zero, none is
 drawn. In steady state the unconditional covariance decomposes as the
 conditional covariance plus the ensemble second moment of the means, which
@@ -44,11 +46,14 @@ class SimConfig:
 
     dt and t_final are in damping-time units; dt is capped at 1e-2, where the
     exponential-midpoint step biases the stationary covariance of the means
-    by a few parts in 1e6 (second order in dt). Each trajectory draws its
-    Gaussian increments from an independent counter-based stream derived
-    from the master seed, so a trajectory's result is bit-identical whatever
-    the ensemble size or chunking (an ensemble of one trajectory excepted:
-    NumPy steps it on a matrix-vector path that can differ in the last bits).
+    by a few parts in 1e6 (second order in dt). The statistics keep the last
+    1 - ``_BURN_IN`` of the horizon; a run whose covariance is held starts
+    there, at t_b = ``_BURN_IN`` * t_final. Each trajectory draws its
+    start and its Gaussian increments from an independent counter-based
+    stream derived from the master seed, so a trajectory's result is
+    bit-identical whatever the ensemble size or chunking (an ensemble of one
+    trajectory excepted: NumPy steps it on a matrix-vector path that can
+    differ in the last bits).
     """
 
     dt: float = 1e-2
@@ -111,6 +116,22 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
+def _stationary_root(Phi: np.ndarray, Kt: np.ndarray) -> np.ndarray:
+    """Principal square root of the stationary covariance of X <- X Phi^T + xi Kt.
+
+    Z solves Z = Phi Z Phi^T + Kt^T Kt, by the Kronecker vectorization that
+    ``lyapunov_steady`` uses. Eigenvalues within a relative 1e-12 of zero
+    are taken as exactly zero, as in ``measurement_model``, so a direction
+    that round-off alone fills draws no noise.
+    """
+    n = len(Phi)
+    z = np.linalg.solve(np.eye(n * n) - np.kron(Phi, Phi), (Kt.T @ Kt).ravel())
+    Z = z.reshape(n, n)
+    w, Q = np.linalg.eigh(0.5 * (Z + Z.T))
+    w[w < 1e-12 * max(1.0, w.max())] = 0.0
+    return (Q * np.sqrt(w)) @ Q.T
+
+
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                          cfg: SimConfig, v0: CovarianceMatrix) -> TrajectoryStats:
     """Simulate the conditional moments under continuous measurement and feedback.
@@ -125,20 +146,31 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     block where the same fixed-point rule holds; from there it is held, as
     if the run had started on it.
 
-    Conditional means start at zero and follow
+    Conditional means follow
     d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C and
     K = V_c C^T + Gamma^T + BF, stepped for all trajectories at once by
     X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi. The drift is exact; the
     increment's covariance is the midpoint rule for the exact
     int_0^dt e^{A_cl s} K K^T e^{A_cl^T s} ds, so its error is second order
-    in dt. Each trajectory draws its 2L-dimensional increments xi from its
-    own Philox stream, in blocks of ``_BLOCK`` steps; the draws are
-    bit-identical to one draw over the whole horizon. When the covariance is
-    held constant and K is exactly zero, nothing is drawn: the means and
+    in dt. Statistics are accumulated after a burn-in of the first
+    ``_BURN_IN`` of the horizon. From a moving start the means start at
+    zero at t = 0 and the whole horizon is stepped. From a held start they
+    start at t_b = ``_BURN_IN`` * t_final in the exact stationary law
+    N(0, Z) of the recursion, with
+    Z = e^{A_cl dt} Z e^{A_cl^T dt} + dt e^{A_cl dt/2} K K^T e^{A_cl^T dt/2},
+    as X = eta R^T with R the principal root of Z and eta standard normal,
+    and only the kept window is stepped; the burn-in would only carry them
+    from zero towards that law. Each trajectory draws from its own Philox
+    stream: first, for a held start, its 2N start normals eta, then its
+    2L-dimensional increments xi, in blocks of ``_BLOCK`` steps; the draws
+    are bit-identical to one draw over the whole window. When the covariance
+    is held constant and K is exactly zero, nothing is drawn: the means and
     every aggregate are exactly zero. Each block steps the ensemble in row
     chunks of up to ``_ROWS`` trajectories, so peak memory grows with the
-    number of trajectories but not with the horizon. Statistics are
-    accumulated after a burn-in of the first ``_BURN_IN`` of the horizon.
+    number of trajectories but not with the horizon. A moving start with
+    t_final below ten slowest closed-loop time constants warns of transient
+    bias; a held start has none. Divergence is reported at its step on the
+    full horizon grid.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -148,12 +180,6 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     if not is_hurwitz(A_cl):
         raise StabilityError("closed-loop drift A + BF C is not Hurwitz")
-    slowest = 1.0 / abs(np.linalg.eigvals(A_cl).real.max())
-    if cfg.t_final < 10.0 * slowest:
-        warnings.warn(
-            f"t_final={cfg.t_final} is below 10x the slowest closed-loop time "
-            f"constant ({slowest:.2f}); statistics may carry transient bias",
-            stacklevel=2)
 
     def on_fixed_point(V):
         rate = np.max(np.abs(riccati_rhs(A, D, C, Gamma, V)))
@@ -163,6 +189,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     V = v0.data
     moving = not on_fixed_point(V)
     if moving:
+        # Only a moving start carries a transient into the statistics; a
+        # held one starts the means in their stationary law.
+        slowest = 1.0 / abs(np.linalg.eigvals(A_cl).real.max())
+        if cfg.t_final < 10.0 * slowest:
+            warnings.warn(
+                f"t_final={cfg.t_final} is below 10x the slowest closed-loop time "
+                f"constant ({slowest:.2f}); statistics may carry transient bias",
+                stacklevel=2)
         Phi = riccati_propagator(A, D, C, Gamma, dt)
         powers = np.empty((_BLOCK + 1, *Phi.shape))
         powers[0] = np.eye(len(Phi))
@@ -188,9 +222,15 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         edges = [0]   # no noise reaches the means: they stay exactly zero
     rngs = [_trajectory_rng(cfg.seed, i) for i in range(edges[-1])]
     X_all = np.zeros((cfg.n_traj, n))
+    # Held, the burn-in would only carry the means from zero towards their
+    # stationary law: start them there and step only the kept window.
+    first = 0 if moving else k_burn
+    if not moving and rngs:
+        eta = np.array([rng.standard_normal(n) for rng in rngs])
+        X_all[:] = eta @ _stationary_root(Phit.T, Kt).T
     sum_x = np.zeros((cfg.n_traj, n))
     sum_xx = np.zeros((cfg.n_traj, n, n))
-    for start in range(0, n_steps, _BLOCK):
+    for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
         if moving:
             Vs = riccati_map(V, powers[:b + 1])

@@ -197,14 +197,10 @@ class TestVerifyNearThreshold:
         result = runner.invoke(main, ["verify", "--chi", "0.4999", "--scheme", scheme,
                                       "--ntraj", "16"])
         assert time.perf_counter() - start <= self.WALL_BOUND_S
-        # local-iii fails a Monte-Carlo check near threshold (exit 1, see
-        # README.md); nonlocal and heterodyne pass every check.
-        assert result.exit_code in (0, 1), result.output
+        assert result.exit_code == 0, result.output
         assert "[PASS] stabilizing Riccati solution" in result.output
-        if scheme != "local-iii":
-            assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("scheme", ["nonlocal", "heterodyne"])
+    @pytest.mark.parametrize("scheme", ["nonlocal", "heterodyne", "local-iii"])
     def test_passes_at_chi_max(self, runner, scheme):
         result = runner.invoke(main, ["verify", "--chi", str(CHI_MAX), "--scheme", scheme,
                                       "--ntraj", "16"])

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
-                    PlantModel, SchemeId, SimConfig, StabilityError, Unravelling, build_plant,
-                    closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
+                    PlantModel, SchemeId, SimConfig, StabilityError,
+                    TrajectoryDivergenceError, Unravelling, build_plant, closed_loop,
+                    closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, lyapunov_steady,
                     measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
@@ -143,12 +146,23 @@ def _expm_by_eig(M):
     return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
 
 
+def _smith_stationary(Phi, L):
+    # Z = Phi Z Phi^T + L L^T by doubling: Z <- Z + M Z M^T, M <- M^2
+    Z, M = L @ L.T, Phi
+    for _ in range(64):   # sums 2^64 terms of the series
+        Z, M = Z + M @ Z @ M.T, M @ M
+    return Z
+
+
 def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
     """Per-step exponential-midpoint means on the simulator's own draws.
 
     From ``v0`` the covariance is stepped one linear-fractional map at a
-    time over the whole horizon, or with ``held`` kept at ``v0``. Returns
-    the time-averaged means and outer products, and the final covariance.
+    time over the whole horizon, with the means started at zero. With
+    ``held`` it is kept at ``v0``, and each trajectory first draws its
+    start in the means' stationary law (by Smith doubling), at the end of
+    the burn-in, from which only the kept window is stepped. Returns the
+    time-averaged means and outer products, and the final covariance.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
@@ -160,13 +174,20 @@ def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
     V = v0.data
     n = len(V)
     Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
-    noise = np.stack([_trajectory_rng(cfg.seed, i).normal(size=(n_steps, len(meas.C)))
-                      for i in range(cfg.n_traj)]) * np.sqrt(dt)
+    first = k_burn if held else 0
+    rngs = [_trajectory_rng(cfg.seed, i) for i in range(cfg.n_traj)]
     X = np.zeros((cfg.n_traj, n))
-    SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, n, n))
-    for k in range(n_steps):
+    if held:
         K = V @ meas.C.T + meas.Gamma.T + gain.BF
-        X = X @ Phi_mean.T + noise[:, k] @ (half @ K).T
+        w, Q = np.linalg.eigh(_smith_stationary(Phi_mean, np.sqrt(dt) * half @ K))
+        w[w < 1e-12 * max(1.0, w.max())] = 0.0
+        X = np.stack([rng.normal(size=n) for rng in rngs]) @ ((Q * np.sqrt(w)) @ Q.T)
+    noise = np.stack([rng.normal(size=(n_steps - first, len(meas.C)))
+                      for rng in rngs]) * np.sqrt(dt)
+    SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, n, n))
+    for k in range(first, n_steps):
+        K = V @ meas.C.T + meas.Gamma.T + gain.BF
+        X = X @ Phi_mean.T + noise[:, k - first] @ (half @ K).T
         if not held:
             V = ((Phi[:n, :n] @ V + Phi[:n, n:])
                  @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
@@ -179,9 +200,10 @@ def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
 class TestMeanRecursion:
     @pytest.mark.parametrize("transient", [False, True])
     def test_matches_per_step_midpoint_reference(self, transient):
-        # 600 steps: two full noise blocks and a partial one, with the
-        # burn-in ending inside the second block. From the open-loop state the
-        # reference steps the covariance one linear-fractional map at a time.
+        # 600 steps: from the open-loop state, two full noise blocks and a
+        # partial one, with the burn-in ending inside the second block, and
+        # the reference steps the covariance one linear-fractional map at a
+        # time; held, the 300 kept steps, one full block and a partial one.
         p = NopoParams(0.25)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.LOCAL_III))
@@ -413,9 +435,30 @@ class TestValidation:
                                      cfg, v0=open_loop_V(NopoParams(0.25)))
         assert np.all(np.isfinite(stats.mean_outer)) and np.any(stats.mean_outer)
 
+    def test_divergence_named_on_the_full_horizon_grid(self, monkeypatch):
+        # a held start steps only the kept window, from step 300 of 600, but
+        # the error names the step where the first block ends on the full grid
+        monkeypatch.setattr("entlqg.trajectories._DIVERGENCE_LIMIT", 1e-6)
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=3, seed=0)
+        with pytest.raises(TrajectoryDivergenceError, match=f"by step {300 + _BLOCK}$"):
+            simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg,
+                                 v0=riccati_steady(plant, HETERODYNE))
+
     def test_short_horizon_warns(self):
-        plant = build_plant(NopoParams(0.25))
+        # a moving start carries a transient into the statistics
+        p = NopoParams(0.25)
         with pytest.warns(UserWarning, match="slowest closed-loop time constant"):
+            simulate_conditional(build_plant(p), HOMODYNE_Q, ZERO_GAIN,
+                                 SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0),
+                                 v0=open_loop_V(p))
+
+    def test_short_horizon_held_start_is_silent(self):
+        # a held start begins in the means' stationary law: no transient
+        plant = build_plant(NopoParams(0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN,
                                  SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0),
                                  v0=q_homodyne_W(0.25))
