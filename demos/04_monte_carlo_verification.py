@@ -32,8 +32,8 @@ stats = simulate_conditional(plant, u, gain, cfg, v0=W)
 
 print(f"|Vc(T) - W|_inf                  = "
       f"{np.max(np.abs(stats.v_c_final.data - W.data)):.2e}")
-print(f"max |time-averaged <x>|          = "
-      f"{np.max(np.abs(stats.traj_mean())):.2e}")
+print(f"max |time-averaged <x><x>^T|     = "
+      f"{np.max(np.abs(stats.mean_outer)):.2e}")
 cost = regulation_cost(stats, cost_matrix())
 print(f"regulation cost                  = {cost:.12f}")
 print(f"steady-state optimum tr[P W]     = "

@@ -12,11 +12,11 @@ from .errors import (EntlqgError, InvalidUnravellingError, NoStableSolutionError
 from .gaussian import (CovarianceMatrix, epr_variance, is_physical, log_negativity,
                        partial_transpose, symplectic_eigenvalues, symplectic_form,
                        von_neumann_entropy)
-from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, integrate_moments,
-                       is_hurwitz, lyapunov_steady)
-from .unravelling import (LmiReport, MeasurementModel, Unravelling, cbar, lmi_feasible,
+from .dynamics import (PlantModel, diffusion_matrix, drift_matrix, is_hurwitz,
+                       lyapunov_steady)
+from .unravelling import (LmiReport, MeasurementModel, Unravelling, lmi_feasible,
                           measurement_model, recover_unravelling, riccati_rhs,
-                          riccati_steady, s_matrix, u_matrix)
+                          riccati_steady, u_matrix)
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE,
                    NopoParams, SchemeId, SchemeResult, build_plant,
@@ -37,16 +37,16 @@ __all__ = [
     "NoStableSolutionError", "NopoParams", "NumericalError", "PlantModel", "RecoveryError", "SchemeId", "SchemeResult",
     "SimConfig", "StabilityError", "TrajectoryDivergenceError",
     "TrajectoryStats", "Unravelling", "UnphysicalStateError",
-    "build_plant", "cbar", "closed_loop", "closed_loop_for_scheme", "conditional_V",
+    "build_plant", "closed_loop", "closed_loop_for_scheme", "conditional_V",
     "cost_matrix",
     "diffusion_matrix", "drift_matrix", "epr_variance", "heterodyne_closed_form_V", "heterodyne_gain",
     "heterodyne_optimal_mu", "heterodyne_stable", "homodyne_closed_form_V",
-    "homodyne_gain", "homodyne_stable", "integrate_moments", "is_hurwitz",
+    "homodyne_gain", "homodyne_stable", "is_hurwitz",
     "is_physical", "lmi_feasible", "log_negativity", "lyapunov_steady",
     "measurement_model", "open_loop_V", "optimal_gain", "optimal_nonlocal",
     "optimal_nonlocal_alpha_beta", "optimize_scheme", "partial_transpose",
     "recover_unravelling", "regulation_cost", "regulation_cost_sem",
-    "riccati_rhs", "riccati_steady", "s_matrix", "scheme_curves",
+    "riccati_rhs", "riccati_steady", "scheme_curves",
     "scheme_realization", "simulate_conditional", "symmetric_family_W",
     "symplectic_eigenvalues", "symplectic_form", "u_matrix", "von_neumann_entropy",
 ]

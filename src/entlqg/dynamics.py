@@ -95,18 +95,3 @@ def _expm(M: np.ndarray) -> np.ndarray:
         E = E @ E
     return E
 
-
-def integrate_moments(A: np.ndarray, D: np.ndarray, V0: CovarianceMatrix,
-                      t_final: float = 10.0) -> CovarianceMatrix:
-    """Exact solution of dV/dt = A V + V A^T + D from V0 at time t_final.
-
-    V(t) = e^{At} (V0 - V_inf) e^{A^T t} + V_inf, with V_inf from
-    ``lyapunov_steady``; A must therefore be Hurwitz, and a non-Hurwitz A
-    raises NoStableSolutionError.
-    """
-    if t_final < 0:
-        raise ValueError("require t_final >= 0")
-    V_inf = lyapunov_steady(A, D).data
-    E = _expm(t_final * np.asarray(A, dtype=float))
-    V = E @ (V0.data - V_inf) @ E.T + V_inf
-    return CovarianceMatrix(0.5 * (V + V.T))

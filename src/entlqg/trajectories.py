@@ -82,33 +82,24 @@ class TrajectoryStats:
 
     mean_outer is the time-and-ensemble average of <x><x>^T after burn-in;
     v_unconditional = v_c_final + mean_outer estimates the stationary
-    unconditional covariance. Per-trajectory aggregates are kept so that
-    standard errors are estimated across trajectories, not within one.
+    unconditional covariance. The per-trajectory outer products are kept so
+    that standard errors are estimated across trajectories, not within one.
     """
 
     v_c_final: CovarianceMatrix
     mean_outer: np.ndarray
     v_unconditional: np.ndarray
-    n_steps: int
     outer_by_traj: np.ndarray   # (n_traj, 2N, 2N) time-averaged <x><x>^T
-    mean_by_traj: np.ndarray    # (n_traj, 2N) time-averaged <x>
-
-    @property
-    def n_traj(self) -> int:
-        return self.outer_by_traj.shape[0]
 
     def mean_outer_sem(self) -> np.ndarray:
         """Entrywise standard error of mean_outer across trajectories."""
-        ddof = 1 if self.n_traj > 1 else 0
-        return self.outer_by_traj.std(axis=0, ddof=ddof) / np.sqrt(self.n_traj)
+        return _sem(self.outer_by_traj)
 
-    def traj_mean(self) -> np.ndarray:
-        """Ensemble average of the time-averaged conditional means."""
-        return self.mean_by_traj.mean(axis=0)
 
-    def traj_mean_sem(self) -> np.ndarray:
-        ddof = 1 if self.n_traj > 1 else 0
-        return self.mean_by_traj.std(axis=0, ddof=ddof) / np.sqrt(self.n_traj)
+def _sem(samples: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over the first axis, one sample per trajectory."""
+    n = len(samples)
+    return samples.std(axis=0, ddof=1 if n > 1 else 0) / np.sqrt(n)
 
 
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -228,7 +219,6 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     if not moving and rngs:
         eta = np.array([rng.standard_normal(n) for rng in rngs])
         X_all[:] = eta @ _stationary_root(Phit.T, Kt).T
-    sum_x = np.zeros((cfg.n_traj, n))
     sum_xx = np.zeros((cfg.n_traj, n, n))
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
@@ -253,21 +243,18 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                     f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
             X_all[lo:hi] = X
             kept = F[max(0, k_burn - start):]
-            sum_x[lo:hi] += kept.sum(axis=0)
             sum_xx[lo:hi] += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
         if moving and on_fixed_point(V):
             # The start rule, applied at the block's end: hold V from here.
             moving = False
             Kt = held_Kt(V)
-    mean_by = sum_x / (n_steps - k_burn)
     outer_by = sum_xx / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)
-    return TrajectoryStats(
-        v_c_final=v_c_final, mean_outer=mean_outer,
-        v_unconditional=v_c_final.data + mean_outer,
-        n_steps=n_steps, outer_by_traj=outer_by, mean_by_traj=mean_by)
+    return TrajectoryStats(v_c_final=v_c_final, mean_outer=mean_outer,
+                           v_unconditional=v_c_final.data + mean_outer,
+                           outer_by_traj=outer_by)
 
 
 def regulation_cost(stats: TrajectoryStats, P: np.ndarray) -> float:
@@ -277,7 +264,4 @@ def regulation_cost(stats: TrajectoryStats, P: np.ndarray) -> float:
 
 def regulation_cost_sem(stats: TrajectoryStats, P: np.ndarray) -> float:
     """Standard error of the cost estimate across trajectories."""
-    P = np.asarray(P)
-    per_traj = np.einsum("ij,cji->c", P, stats.outer_by_traj)
-    ddof = 1 if stats.n_traj > 1 else 0
-    return float(per_traj.std(ddof=ddof) / np.sqrt(stats.n_traj))
+    return float(_sem(np.einsum("ij,cji->c", np.asarray(P), stats.outer_by_traj)))

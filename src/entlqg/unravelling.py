@@ -73,13 +73,13 @@ def u_matrix(u: Unravelling) -> np.ndarray:
     return _u_eigh(u)[0]
 
 
-def cbar(Ctilde: np.ndarray) -> np.ndarray:
+def _cbar(Ctilde: np.ndarray) -> np.ndarray:
     """Real 2L x 2N stack of the coupling: real part rows over imaginary part rows."""
     Ct = np.asarray(Ctilde, dtype=complex)
     return np.vstack([Ct.real, Ct.imag])
 
 
-def s_matrix(n_channels: int) -> np.ndarray:
+def _s_matrix(n_channels: int) -> np.ndarray:
     """The 2L x 2L block matrix [[0, I], [-I, 0]] acting on (Re, Im) current space."""
     I = np.eye(n_channels)
     Z = np.zeros((n_channels, n_channels))
@@ -99,8 +99,8 @@ def measurement_model(plant: PlantModel, u: Unravelling) -> MeasurementModel:
     _, w, Q = _u_eigh(u)
     w[w < 1e-12 * max(1.0, w.max())] = 0.0
     Us = Q @ np.diag(np.sqrt(w)) @ Q.T
-    Cb = cbar(plant.Ctilde)
-    S = s_matrix(plant.n_channels)
+    Cb = _cbar(plant.Ctilde)
+    S = _s_matrix(plant.n_channels)
     Sig = symplectic_form(plant.n_modes)
     return MeasurementModel(C=2.0 * Us @ Cb, Gamma=-Us @ S @ Cb @ Sig.T)
 
@@ -208,7 +208,8 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
     unravelling matrices before validating. The generating unravelling need
     not be unique; the returned one reproduces W.
 
-    Returns the unravelling and the residual ||R^T U R - (D + A W + W A^T)||_inf.
+    Returns the unravelling and the residual ||R^T U R - (D + A W + W A^T)||_inf,
+    bounded by RECOVERY_RESIDUAL_TOL * max(1, max|W|)^2, the size of its terms.
     """
     report = lmi_feasible(W, plant, tol=1e-8)
     if not report.feasible:
@@ -217,8 +218,8 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
             f"{report.dissipation_margin:.3e})")
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
-    Cb = cbar(plant.Ctilde)
-    S = s_matrix(plant.n_channels)
+    Cb = _cbar(plant.Ctilde)
+    S = _s_matrix(plant.n_channels)
     Sig = symplectic_form(plant.n_modes)
     L = plant.n_channels
 
@@ -237,7 +238,7 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
 
     U = u_matrix(recovered)  # raises InvalidUnravellingError if indefinite
     residual = float(np.max(np.abs(R.T @ U @ R - M)))
-    if residual > RECOVERY_RESIDUAL_TOL:
-        raise RecoveryError(
-            f"recovery residual {residual:.3e} above {RECOVERY_RESIDUAL_TOL:.0e}")
+    bound = RECOVERY_RESIDUAL_TOL * max(1.0, np.max(np.abs(W.data))) ** 2
+    if residual > bound:
+        raise RecoveryError(f"recovery residual {residual:.3e} above {bound:.3e}")
     return recovered, residual

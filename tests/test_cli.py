@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from entlqg import SchemeId
 from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main
 
 
@@ -228,3 +229,34 @@ class TestRecover:
         for line in result.output.splitlines():
             if "recovery residual" in line:
                 assert float(line.split("=")[1]) <= 1e-8
+
+
+class TestDomainSweep:
+    # Every command answers over the whole accepted domain, the threshold
+    # tail included; the sweep takes about 2 s on a 2-vCPU VM.
+    CHIS = (0.0, 1e-9, 0.25, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
+    WALL_BOUND_S = 30.0
+
+    def test_every_command_across_the_domain(self, runner):
+        failed = []
+
+        def run(args):
+            result = runner.invoke(main, args)
+            if result.exit_code != 0:
+                failed.append((args, result.exit_code, result.output[-200:]))
+            return result
+
+        start = time.perf_counter()
+        for chi in map(str, self.CHIS):
+            run(["model", "--chi", chi])
+            run(["recover", "--chi", chi])
+            for scheme in (s.value for s in SchemeId):
+                result = run(["optimize", "--chi", chi, "--scheme", scheme,
+                              "--format", "json"])
+                if result.exit_code == 0:
+                    doc = json.loads(result.output)["result"]
+                    if not (np.isfinite(doc["L_bits"]) and np.isfinite(doc["S_bits"])):
+                        failed.append((chi, scheme, doc["L_bits"], doc["S_bits"]))
+                run(["verify", "--chi", chi, "--scheme", scheme, "--ntraj", "16"])
+        assert failed == []
+        assert time.perf_counter() - start <= self.WALL_BOUND_S

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from entlqg import (CovarianceMatrix, NoStableSolutionError, NopoParams, PlantModel,
-                    build_plant, diffusion_matrix, drift_matrix, integrate_moments,
-                    is_hurwitz, lyapunov_steady, open_loop_V)
+from entlqg import (NoStableSolutionError, NopoParams, PlantModel, build_plant,
+                    diffusion_matrix, drift_matrix, is_hurwitz, lyapunov_steady, open_loop_V)
 
 
 def nopo_drift(chi):
@@ -104,49 +103,6 @@ class TestLyapunovSteady:
     def test_unstable_drift_rejected(self):
         with pytest.raises(NoStableSolutionError):
             lyapunov_steady(nopo_drift(0.5), np.eye(4) / 2)
-
-
-class TestIntegrateMoments:
-    def test_steady_state_is_fixed_point(self):
-        plant = build_plant(NopoParams(0.25))
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        Vss = lyapunov_steady(A, D)
-        V = integrate_moments(A, D, Vss, t_final=5.0)
-        assert np.max(np.abs(V.data - Vss.data)) <= 1e-9
-
-    def test_converges_from_vacuum(self):
-        plant = build_plant(NopoParams(0.25))
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), t_final=50.0)
-        Vss = lyapunov_steady(A, D)
-        assert np.max(np.abs(V.data - Vss.data)) <= 1e-8
-
-    def test_pure_decay(self):
-        V0 = CovarianceMatrix(np.diag([2.0, 1.0, 1.0, 2.0]))
-        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=3.0)
-        assert np.max(np.abs(V.data - V0.data * np.exp(-3.0))) <= 1e-8
-
-    def test_horizon_not_a_step_multiple(self):
-        V0 = CovarianceMatrix(np.diag([2.0, 1.0, 1.0, 2.0]))
-        V = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=1.0)
-        assert np.max(np.abs(V.data - V0.data * np.exp(-1.0))) <= 2e-4
-        coarse = integrate_moments(-np.eye(4) / 2, np.zeros((4, 4)), V0, t_final=0.9)
-        assert np.max(np.abs(coarse.data - V0.data * np.exp(-0.9))) <= 2e-4
-
-    def test_non_hurwitz_drift_rejected(self):
-        with pytest.raises(NoStableSolutionError):
-            integrate_moments(nopo_drift(0.5), np.eye(4) / 2,
-                              CovarianceMatrix.vacuum(2), t_final=1.0)
-
-    @pytest.mark.parametrize("chi", [0.0, 0.15, 0.3, 0.45])
-    def test_convergence_across_couplings(self, chi):
-        # the slow covariance mode decays at rate 1 - 2 chi; pick a horizon
-        # that damps the initial deviation below the tolerance at every chi
-        plant = build_plant(NopoParams(chi))
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        horizon = max(60.0, 18.0 / (1.0 - 2.0 * chi))
-        V = integrate_moments(A, D, CovarianceMatrix.vacuum(2), t_final=horizon)
-        assert np.max(np.abs(V.data - lyapunov_steady(A, D).data)) <= 1e-6
 
     def test_open_loop_closed_form_matches_solver(self):
         for chi in np.linspace(0.0, 0.45, 20):

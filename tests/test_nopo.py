@@ -192,6 +192,16 @@ class TestOptimalNonlocal:
         assert residual <= 1e-8
         assert np.max(np.abs(u.upsilon - JOINT_HOMODYNE.upsilon)) <= 1e-12
 
+    @pytest.mark.parametrize("chi", [0.4995, 0.4999, 0.49999, CHI_MAX])
+    def test_recovery_near_threshold(self, chi):
+        # The residual's terms are of size max|W|^2 ~ 1/(1 - 2 chi)^2, so the
+        # recovery is judged relative to that size.
+        p = NopoParams(chi)
+        W = optimize_scheme(p, SchemeId.NONLOCAL).V
+        u, residual = recover_unravelling(W, build_plant(p))
+        assert residual <= 1e-8 * np.max(np.abs(W.data)) ** 2
+        assert np.max(np.abs(u.upsilon - JOINT_HOMODYNE.upsilon)) <= 1e-9
+
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_purity_across_grid(self, chi):
         alpha, beta = optimal_nonlocal_alpha_beta(chi)

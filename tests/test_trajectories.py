@@ -50,7 +50,6 @@ class TestDeterminism:
         b = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=q_homodyne_W(0.2))
         assert np.array_equal(a.mean_outer, b.mean_outer)
         assert np.array_equal(a.outer_by_traj, b.outer_by_traj)
-        assert np.array_equal(a.mean_by_traj, b.mean_by_traj)
         assert np.array_equal(a.v_c_final.data, b.v_c_final.data)
 
     def test_prefix_of_larger_ensemble_bitwise(self):
@@ -63,7 +62,6 @@ class TestDeterminism:
                                              v0=q_homodyne_W(0.2))
                         for k in (5, 300))
         assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:5])
-        assert np.array_equal(small.mean_by_traj, large.mean_by_traj[:5])
 
     def test_different_seed_differs(self):
         plant = build_plant(NopoParams(0.2))
@@ -162,7 +160,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
     ``held`` it is kept at ``v0``, and each trajectory first draws its
     start in the means' stationary law (by Smith doubling), at the end of
     the burn-in, from which only the kept window is stepped. Returns the
-    time-averaged means and outer products, and the final covariance.
+    time-averaged outer products of the means and the final covariance.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
@@ -184,7 +182,7 @@ def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
         X = np.stack([rng.normal(size=n) for rng in rngs]) @ ((Q * np.sqrt(w)) @ Q.T)
     noise = np.stack([rng.normal(size=(n_steps - first, len(meas.C)))
                       for rng in rngs]) * np.sqrt(dt)
-    SX, SXX = np.zeros_like(X), np.zeros((cfg.n_traj, n, n))
+    SXX = np.zeros((cfg.n_traj, n, n))
     for k in range(first, n_steps):
         K = V @ meas.C.T + meas.Gamma.T + gain.BF
         X = X @ Phi_mean.T + noise[:, k - first] @ (half @ K).T
@@ -192,9 +190,8 @@ def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
             V = ((Phi[:n, :n] @ V + Phi[:n, n:])
                  @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
         if k >= k_burn:
-            SX += X
             SXX += np.einsum("ci,cj->cij", X, X)
-    return SX / (n_steps - k_burn), SXX / (n_steps - k_burn), V
+    return SXX / (n_steps - k_burn), V
 
 
 class TestMeanRecursion:
@@ -213,8 +210,7 @@ class TestMeanRecursion:
         v0 = open_loop_V(p) if transient else riccati_steady(plant, u)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
         refs = _midpoint_reference(plant, u, gain, cfg, v0, held=not transient)
-        for got, ref in zip((stats.mean_by_traj, stats.outer_by_traj,
-                             stats.v_c_final.data), refs):
+        for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_covariance_held_from_first_fixed_point_block(self, monkeypatch):
@@ -244,7 +240,7 @@ class TestMeanRecursion:
         assert np.array_equal(stats.v_c_final.data, ends[-1])
         W = riccati_steady(plant, u).data
         assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
-        _, ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0)
+        ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0)
         ref = ref_outer.mean(axis=0)
         assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -312,7 +308,7 @@ class TestMeanRecursion:
         monkeypatch.setattr("entlqg.trajectories._trajectory_rng", no_draw)
         silent = simulate_conditional(plant, u, gain, cfg, v0=result.V)
         assert np.all(silent.mean_outer == 0)
-        assert np.all(silent.outer_by_traj == 0) and np.all(silent.mean_by_traj == 0)
+        assert np.all(silent.outer_by_traj == 0)
         assert np.array_equal(silent.v_c_final.data, result.V.data)
         assert np.max(np.abs(drawn.mean_outer)) > 0
         assert np.max(np.abs(drawn.mean_outer - silent.mean_outer)) <= 1e-20
@@ -380,11 +376,6 @@ class TestUnconditionalDecomposition:
 
 
 class TestMeanRegulation:
-    def test_time_averaged_means_near_zero(self, optimal_run):
-        _, _, stats = optimal_run
-        tol = 4.0 * stats.traj_mean_sem() + MC_FLOOR
-        assert np.all(np.abs(stats.traj_mean()) <= tol)
-
     def test_mean_outer_near_zero(self, optimal_run):
         _, _, stats = optimal_run
         tol = 4.0 * stats.mean_outer_sem() + MC_FLOOR

@@ -3,12 +3,12 @@ import pytest
 
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, InvalidUnravellingError,
                     NoStableSolutionError, NopoParams, PlantModel, Unravelling,
-                    build_plant, cbar, diffusion_matrix, drift_matrix, lmi_feasible,
+                    build_plant, diffusion_matrix, drift_matrix, lmi_feasible,
                     lyapunov_steady, measurement_model, open_loop_V,
                     optimal_nonlocal_alpha_beta, recover_unravelling, riccati_rhs,
                     riccati_steady, symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
-from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, riccati_map,
+from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, _cbar, riccati_map,
                                 riccati_propagator)
 from rk4 import rk4_step
 
@@ -58,17 +58,17 @@ class TestCbar:
         plant = build_plant(NopoParams(0.3))
         expected = (1 / np.sqrt(2)) * np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                                                 [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-        assert np.allclose(cbar(plant.Ctilde), expected, atol=1e-15)
+        assert np.allclose(_cbar(plant.Ctilde), expected, atol=1e-15)
 
     def test_real_coupling_zero_lower_block(self):
         Ct = np.array([[1.0, 2.0, 0.0, 0.0]], dtype=complex)
-        Cb = cbar(Ct)
+        Cb = _cbar(Ct)
         assert np.allclose(Cb[1], 0.0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
         Ct = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        Cb = cbar(Ct)
+        Cb = _cbar(Ct)
         assert np.allclose(Cb[:2] + 1j * Cb[2:], Ct, atol=1e-15)
 
 
@@ -79,7 +79,7 @@ class TestPsdSqrt:
     def root(u):
         # Cbar of the oscillator is 1/sqrt(2) times a permutation, so it inverts exactly.
         plant = build_plant(NopoParams(0.25))
-        return 0.5 * measurement_model(plant, u).C @ np.linalg.inv(cbar(plant.Ctilde))
+        return 0.5 * measurement_model(plant, u).C @ np.linalg.inv(_cbar(plant.Ctilde))
 
     def test_projector_is_own_root(self):
         assert np.allclose(self.root(JOINT_HOMODYNE), PRINTED_OPTIMAL_U, atol=1e-12)
@@ -129,7 +129,7 @@ class TestMeasurementModel:
     def test_heterodyne_scales_cbar(self):
         plant = build_plant(NopoParams(0.25))
         meas = measurement_model(plant, HETERODYNE)
-        assert np.allclose(meas.C, np.sqrt(2) * cbar(plant.Ctilde), atol=1e-14)
+        assert np.allclose(meas.C, np.sqrt(2) * _cbar(plant.Ctilde), atol=1e-14)
 
     def test_channel_count_mismatch(self):
         plant = build_plant(NopoParams(0.25))
