@@ -1,21 +1,12 @@
 """Monte-Carlo oracle for the conditional dynamics under measurement and feedback.
 
-The conditional covariance is deterministic and starts where the caller puts
-it. Started on a fixed point of its Riccati equation it stays constant;
-started anywhere else it is propagated exactly, once per noise block for all
-trajectories, by the linear-fractional map of the Riccati flow that
-``riccati_steady`` relaxes along, and held constant from the end of the
-first block on which it reaches a fixed point. The conditional means follow
-a linear SDE driven by the measurement noise and are stepped for all
-trajectories at once by an exponential-midpoint rule: the drift is applied
-exactly, as e^{A_cl dt}, and each increment is carried through half a step
-of it. Under a held covariance the means start, at the end of the burn-in,
-in the exact stationary law of that recursion, and only the kept window is
-stepped. Noise is drawn in blocks of time steps, so peak memory does not
-depend on the horizon; where the noise coefficient is exactly zero, none is
-drawn. In steady state the unconditional covariance decomposes as the
-conditional covariance plus the ensemble second moment of the means, which
-is what the statistics returned here verify.
+The conditional covariance is deterministic: held on a fixed point of its
+Riccati equation, or propagated exactly until it reaches one. The conditional
+means follow a linear SDE driven by the measurement noise and are stepped
+exactly at any dt under a held covariance, and by an exponential-midpoint rule
+through a moving covariance's transit. In steady state the unconditional
+covariance decomposes as the conditional covariance plus the ensemble second
+moment of the means, which is what the statistics returned here verify.
 """
 
 from __future__ import annotations
@@ -25,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PlantModel, _expm, diffusion_matrix, drift_matrix, is_hurwitz
+from .dynamics import (PlantModel, _expm, diffusion_matrix, drift_matrix, is_hurwitz,
+                       lyapunov_steady)
 from .errors import StabilityError, TrajectoryDivergenceError
 from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
@@ -44,9 +36,9 @@ _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 class SimConfig:
     """Simulation grid and ensemble settings.
 
-    dt and t_final are in damping-time units; dt is capped at 1e-2, where the
-    exponential-midpoint step biases the stationary covariance of the means
-    by a few parts in 1e6 (second order in dt). The statistics keep the last
+    dt and t_final are in damping-time units. A held chain is exact at any
+    dt, which only sets how finely the kept window is sampled; the midpoint
+    transit of a moving start needs dt <= 1e-2. The statistics keep the last
     1 - ``_BURN_IN`` of the horizon; a run whose covariance is held starts
     there, at t_b = ``_BURN_IN`` * t_final. Each trajectory draws its
     start and its Gaussian increments from an independent counter-based
@@ -62,8 +54,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1e-2:
-            raise ValueError(f"dt must be in (0, 1e-2], got {self.dt}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final < self.dt:
             raise ValueError("t_final must be at least dt")
         if self.n_traj < 1:
@@ -107,20 +99,32 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _stationary_root(Phi: np.ndarray, Kt: np.ndarray) -> np.ndarray:
-    """Principal square root of the stationary covariance of X <- X Phi^T + xi Kt.
+def _psd_root(M: np.ndarray) -> np.ndarray:
+    """Principal square root of a symmetric positive semidefinite matrix.
 
-    Z solves Z = Phi Z Phi^T + Kt^T Kt, by the Kronecker vectorization that
-    ``lyapunov_steady`` uses. Eigenvalues within a relative 1e-12 of zero
-    are taken as exactly zero, as in ``measurement_model``, so a direction
-    that round-off alone fills draws no noise.
+    Eigenvalues below 1e-12 times the largest are zeroed, a purely relative
+    rule: round-off draws no noise, and a tiny nonzero matrix keeps its root.
     """
-    n = len(Phi)
-    z = np.linalg.solve(np.eye(n * n) - np.kron(Phi, Phi), (Kt.T @ Kt).ravel())
-    Z = z.reshape(n, n)
-    w, Q = np.linalg.eigh(0.5 * (Z + Z.T))
-    w[w < 1e-12 * max(1.0, w.max())] = 0.0
-    return (Q * np.sqrt(w)) @ Q.T
+    w, E = np.linalg.eigh(0.5 * (M + M.T))
+    return (E * np.sqrt(np.where(w < 1e-12 * w.max(), 0.0, w))) @ E.T
+
+
+def _held_step(A_cl: np.ndarray, K: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact drift Phi and increment covariance Q of the means over one held step.
+
+    With E = exp(h [[-A_cl, K K^T], [0, A_cl^T]]), Phi = e^{A_cl h} = E22^T and
+    Q = int_0^h e^{A_cl s} K K^T e^{A_cl^T s} ds = Phi E12 (Van Loan, IEEE TAC
+    23, 395 (1978)). h = dt / 2^m keeps |A_cl h|_1 <= 1, so e^{-A_cl h} cannot
+    overflow; m doublings Q <- Q + Phi Q Phi^T, Phi <- Phi^2 reach dt.
+    """
+    n = len(A_cl)
+    m = max(0, int(np.ceil(np.log2(dt * np.abs(A_cl).sum(axis=0).max()))))
+    E = _expm(dt / 2**m * np.block([[-A_cl, K @ K.T], [np.zeros((n, n)), A_cl.T]]))
+    Phi = E[n:, n:].T
+    Q = Phi @ E[:n, n:]
+    for _ in range(m):
+        Q, Phi = Q + Phi @ Q @ Phi.T, Phi @ Phi
+    return Phi, Q
 
 
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
@@ -137,31 +141,23 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     block where the same fixed-point rule holds; from there it is held, as
     if the run had started on it.
 
-    Conditional means follow
-    d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C and
-    K = V_c C^T + Gamma^T + BF, stepped for all trajectories at once by
-    X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi. The drift is exact; the
-    increment's covariance is the midpoint rule for the exact
-    int_0^dt e^{A_cl s} K K^T e^{A_cl^T s} ds, so its error is second order
-    in dt. Statistics are accumulated after a burn-in of the first
-    ``_BURN_IN`` of the horizon. From a moving start the means start at
-    zero at t = 0 and the whole horizon is stepped. From a held start they
-    start at t_b = ``_BURN_IN`` * t_final in the exact stationary law
-    N(0, Z) of the recursion, with
-    Z = e^{A_cl dt} Z e^{A_cl^T dt} + dt e^{A_cl dt/2} K K^T e^{A_cl^T dt/2},
-    as X = eta R^T with R the principal root of Z and eta standard normal,
-    and only the kept window is stepped; the burn-in would only carry them
-    from zero towards that law. Each trajectory draws from its own Philox
-    stream: first, for a held start, its 2N start normals eta, then its
-    2L-dimensional increments xi, in blocks of ``_BLOCK`` steps; the draws
-    are bit-identical to one draw over the whole window. When the covariance
-    is held constant and K is exactly zero, nothing is drawn: the means and
-    every aggregate are exactly zero. Each block steps the ensemble in row
-    chunks of up to ``_ROWS`` trajectories, so peak memory grows with the
-    number of trajectories but not with the horizon. A moving start with
-    t_final below ten slowest closed-loop time constants warns of transient
-    bias; a held start has none. Divergence is reported at its step on the
-    full horizon grid.
+    Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
+    and K = V_c C^T + Gamma^T + BF. Under a held covariance they take the exact
+    step X <- e^{A_cl dt} X + R xi at any dt, with xi 2N standard normals and R
+    the principal root of the increment covariance (``_held_step``); a held
+    start steps only the kept window, from the chain's exact stationary law
+    N(0, Z) at t_b, with Z = lyapunov_steady(A_cl, K K^T) = V_pred - W. Through
+    a moving covariance's transit the means, from zero at t = 0, take the
+    exponential-midpoint step X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi
+    with xi 2L standard normals, which errs at second order in dt: a moving
+    start raises ``ValueError`` for dt > 1e-2 and warns of transient bias when
+    t_final is below ten slowest closed-loop time constants. Each trajectory
+    draws from its own Philox stream, first the 2N start normals of a held
+    start, then its increments in blocks of ``_BLOCK`` steps, bit-identical to
+    one draw over the whole window, and nothing when the covariance is held and
+    K is exactly zero, which leaves every aggregate exactly zero. Row chunks of
+    up to ``_ROWS`` trajectories bound peak memory, which does not grow with
+    the horizon. Divergence is reported at its step on the full horizon grid.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -177,9 +173,19 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         return rate <= RICCATI_DERIVATIVE_TOL * max(1.0, np.max(np.abs(V)))
 
     n_steps, dt = cfg.n_steps, cfg.dt
+    k_burn = int(_BURN_IN * n_steps)
+    n = A.shape[0]
     V = v0.data
+
+    def hold(V):   # the exact step of the means at a held covariance
+        K = V @ C.T + Gamma.T + BF
+        Phi, Q = _held_step(A_cl, K, dt)
+        return K, Phi.T, _psd_root(Q).T
+
     moving = not on_fixed_point(V)
     if moving:
+        if dt > 1e-2:
+            raise ValueError(f"a moving start needs dt <= 1e-2, got {dt}")
         # Only a moving start carries a transient into the statistics; a
         # held one starts the means in their stationary law.
         slowest = 1.0 / abs(np.linalg.eigvals(A_cl).real.max())
@@ -193,23 +199,16 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         powers[0] = np.eye(len(Phi))
         for j in range(_BLOCK):
             powers[j + 1] = powers[j] @ Phi
+        half = _expm(0.5 * dt * A_cl)
+        Phit, Ht = (half @ half).T, np.sqrt(dt) * half.T
+    else:
+        K, Phit, Kt = hold(V)
 
-    k_burn = int(_BURN_IN * n_steps)
-    n = A.shape[0]
-    half = _expm(0.5 * dt * A_cl)
-    Phit = (half @ half).T
-    Ht = np.sqrt(dt) * half.T
-
-    def held_Kt(V):
-        # Noise factor of a held covariance: K^T carried through half a step.
-        return (V @ C.T + Gamma.T + BF).T @ Ht
-
-    Kt = held_Kt(V)
     # Even row chunks, so that no chunk holds a lone trajectory: NumPy would
     # step it on its matrix-vector path, whose last bits differ.
     n_chunks = -(-cfg.n_traj // _ROWS)
     edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
-    if not moving and not np.any(Kt):
+    if not moving and not np.any(K):
         edges = [0]   # no noise reaches the means: they stay exactly zero
     rngs = [_trajectory_rng(cfg.seed, i) for i in range(edges[-1])]
     X_all = np.zeros((cfg.n_traj, n))
@@ -218,7 +217,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     first = 0 if moving else k_burn
     if not moving and rngs:
         eta = np.array([rng.standard_normal(n) for rng in rngs])
-        X_all[:] = eta @ _stationary_root(Phit.T, Kt).T
+        X_all[:] = eta @ _psd_root(lyapunov_steady(A_cl, K @ K.T).data).T
     sum_xx = np.zeros((cfg.n_traj, n, n))
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
@@ -227,7 +226,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
             V = Vs[b]
             Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
         for lo, hi in zip(edges, edges[1:]):
-            xi = np.empty((hi - lo, _BLOCK, C.shape[0]))
+            xi = np.empty((hi - lo, _BLOCK, Kt.shape[-2]))
             for draw, rng in zip(xi, rngs[lo:hi]):
                 rng.standard_normal(out=draw[:b])
             # Time-major noise terms, overwritten in place by the states.
@@ -247,7 +246,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         if moving and on_fixed_point(V):
             # The start rule, applied at the block's end: hold V from here.
             moving = False
-            Kt = held_Kt(V)
+            _, Phit, Kt = hold(V)
     outer_by = sum_xx / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)

@@ -12,7 +12,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
-from entlqg.trajectories import _BLOCK, _BURN_IN, _trajectory_rng
+from entlqg.trajectories import _BLOCK, _BURN_IN, _held_step, _trajectory_rng
 from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
 from rk4 import rk4_step
 
@@ -144,51 +144,81 @@ def _expm_by_eig(M):
     return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
 
 
-def _smith_stationary(Phi, L):
-    # Z = Phi Z Phi^T + L L^T by doubling: Z <- Z + M Z M^T, M <- M^2
-    Z, M = L @ L.T, Phi
+def _smith_stationary(Phi, Q):
+    # Z = Phi Z Phi^T + Q by doubling: Z <- Z + M Z M^T, M <- M^2
+    Z, M = Q, Phi
     for _ in range(64):   # sums 2^64 terms of the series
         Z, M = Z + M @ Z @ M.T, M @ M
     return Z
 
 
-def _midpoint_reference(plant, u, gain, cfg, v0, held=False):
-    """Per-step exponential-midpoint means on the simulator's own draws.
+def _increment_by_eig(A_cl, K, dt):
+    # int_0^dt e^{A_cl s} K K^T e^{A_cl^T s} ds in the eigenbasis of A_cl,
+    # independent of the simulator's Van Loan exponential
+    lam, E = np.linalg.eig(A_cl)
+    Einv = np.linalg.inv(E)
+    s = lam[:, None] + lam[None, :]
+    return (E @ (Einv @ K @ K.T @ Einv.T * np.expm1(s * dt) / s) @ E.T).real
 
-    From ``v0`` the covariance is stepped one linear-fractional map at a
-    time over the whole horizon, with the means started at zero. With
-    ``held`` it is kept at ``v0``, and each trajectory first draws its
-    start in the means' stationary law (by Smith doubling), at the end of
-    the burn-in, from which only the kept window is stepped. Returns the
-    time-averaged outer products of the means and the final covariance.
+
+def _root(M):
+    # principal root, eigenvalues below a relative 1e-12 taken as zero
+    w, E = np.linalg.eigh(M)
+    w[w < 1e-12 * w.max()] = 0.0
+    return (E * np.sqrt(w)) @ E.T
+
+
+def _midpoint_reference(plant, u, gain, cfg, v0, hold_at=None):
+    """Per-step means on the simulator's own draws.
+
+    Up to step ``hold_at`` (by default the whole horizon) the covariance is
+    stepped from ``v0`` one linear-fractional map at a time and the means,
+    started at zero, by the exponential-midpoint rule, drawing 2L normals a
+    step. From ``hold_at`` on the covariance is held and the means take the
+    exact step e^{A_cl dt} X + R xi, R the root of the increment covariance,
+    drawing 2N normals a step. With ``hold_at = 0``, a held start, each
+    trajectory first draws its start in the chain's stationary law (by
+    Smith doubling), at the end of the burn-in, from which only the kept
+    window is stepped. Returns the time-averaged outer products of the
+    means and the final covariance.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
+    hold_at = n_steps if hold_at is None else hold_at
     A, D = drift_matrix(plant), diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     A_cl = A + gain.BF @ meas.C
     half = _expm_by_eig(0.5 * dt * A_cl)
-    Phi_mean = half @ half
+    Phi_exact = _expm_by_eig(dt * A_cl)
     V = v0.data
     n = len(V)
     Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
-    first = k_burn if held else 0
+    first = k_burn if hold_at == 0 else 0
+    held_from = max(first, hold_at)
+
+    def increment(V):
+        return _increment_by_eig(A_cl, V @ meas.C.T + meas.Gamma.T + gain.BF, dt)
+
     rngs = [_trajectory_rng(cfg.seed, i) for i in range(cfg.n_traj)]
     X = np.zeros((cfg.n_traj, n))
-    if held:
-        K = V @ meas.C.T + meas.Gamma.T + gain.BF
-        w, Q = np.linalg.eigh(_smith_stationary(Phi_mean, np.sqrt(dt) * half @ K))
-        w[w < 1e-12 * max(1.0, w.max())] = 0.0
-        X = np.stack([rng.normal(size=n) for rng in rngs]) @ ((Q * np.sqrt(w)) @ Q.T)
-    noise = np.stack([rng.normal(size=(n_steps - first, len(meas.C)))
-                      for rng in rngs]) * np.sqrt(dt)
+    if hold_at == 0:
+        Z = _smith_stationary(Phi_exact, increment(V))
+        X = np.stack([rng.normal(size=n) for rng in rngs]) @ _root(Z)
+    draws = [(rng.normal(size=(held_from - first, len(meas.C))),
+              rng.normal(size=(n_steps - held_from, n))) for rng in rngs]
+    moving_noise = np.stack([m for m, _ in draws]) * np.sqrt(dt)
+    held_noise = np.stack([h for _, h in draws])
     SXX = np.zeros((cfg.n_traj, n, n))
     for k in range(first, n_steps):
-        K = V @ meas.C.T + meas.Gamma.T + gain.BF
-        X = X @ Phi_mean.T + noise[:, k - first] @ (half @ K).T
-        if not held:
+        if k < hold_at:
+            K = V @ meas.C.T + meas.Gamma.T + gain.BF
+            X = X @ (half @ half).T + moving_noise[:, k - first] @ (half @ K).T
             V = ((Phi[:n, :n] @ V + Phi[:n, n:])
                  @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
+        else:
+            if k == held_from:
+                R = _root(increment(V))
+            X = X @ Phi_exact.T + held_noise[:, k - held_from] @ R.T
         if k >= k_burn:
             SXX += np.einsum("ci,cj->cij", X, X)
     return SXX / (n_steps - k_burn), V
@@ -209,7 +239,8 @@ class TestMeanRecursion:
         assert n_steps % _BLOCK and k_burn % _BLOCK
         v0 = open_loop_V(p) if transient else riccati_steady(plant, u)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-        refs = _midpoint_reference(plant, u, gain, cfg, v0, held=not transient)
+        refs = _midpoint_reference(plant, u, gain, cfg, v0,
+                                   hold_at=None if transient else 0)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -240,7 +271,8 @@ class TestMeanRecursion:
         assert np.array_equal(stats.v_c_final.data, ends[-1])
         W = riccati_steady(plant, u).data
         assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
-        ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0)
+        ref_outer, _ = _midpoint_reference(plant, u, gain, cfg, v0,
+                                           hold_at=len(ends) * _BLOCK)
         ref = ref_outer.mean(axis=0)
         assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -325,6 +357,51 @@ class TestMeanRecursion:
         cfg = SimConfig(t_final=10.0, n_traj=8, seed=1)
         stats = simulate_conditional(plant, HETERODYNE, gain, cfg, v0=V0)
         assert np.max(np.abs(stats.mean_outer)) > 1e-3
+
+
+class TestExactHeldChain:
+    @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45, 0.4999, CHI_MAX])
+    @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
+                                        SchemeId.LOCAL_IV])
+    def test_stationary_law_is_kept_and_is_v_pred_minus_w(self, scheme, chi):
+        # Z = lyapunov_steady(A_cl, K K^T) is the held chain's stationary
+        # law at every step, and the means' share of the unconditional state
+        p = NopoParams(chi)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        meas = measurement_model(plant, u)
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        A_cl = A + gain.BF @ meas.C
+        W = conditional_V(p, scheme).data
+        K = W @ meas.C.T + meas.Gamma.T + gain.BF
+        Z = lyapunov_steady(A_cl, K @ K.T).data
+        loop = closed_loop(A, D, gain, meas)
+        V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
+        scale = max(1.0, np.max(np.abs(W)))
+        # the two Lyapunov solves lose digits as 1 / (1 - 2 chi)
+        assert np.max(np.abs(Z - (V_pred - W))) <= 1e-15 * scale / (1 - 2 * chi)
+        # At dt = 1e3, e^{-A_cl dt} would overflow: the step is built from
+        # 2^m ~ dt |A_cl|_1 doublings, each rounding at eps.
+        for dt in (1e-3, 0.1, 0.5, 1e3):
+            Phi, Q = _held_step(A_cl, K, dt)
+            doublings = max(1.0, dt * np.abs(A_cl).sum(axis=0).max())
+            assert np.max(np.abs(Phi @ Z @ Phi.T + Q - Z)) <= 1e-14 * scale * doublings
+
+    @pytest.mark.parametrize("dt", [0.5, 1e-2])
+    def test_held_heterodyne_run_matches_v_pred(self, dt):
+        # exact at a coarse step as at a fine one: no bias to budget for
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
+        loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant), gain,
+                           measurement_model(plant, u))
+        V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
+        cfg = SimConfig(dt=dt, t_final=20.0, n_traj=400, seed=31)
+        stats = simulate_conditional(plant, u, gain, cfg,
+                                     v0=conditional_V(p, SchemeId.HETERODYNE))
+        tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
+        assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
+        assert np.max(np.abs(stats.mean_outer)) > 1e-3   # the noise drives the means
 
 
 class TestUnconditionalDecomposition:
@@ -413,8 +490,20 @@ class TestValidation:
                                  v0=q_homodyne_W(0.25))
 
     def test_config_validation(self):
+        # the midpoint rule caps dt at 1e-2 for a moving start's transit
+        # only; a held chain is exact at any step
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        with pytest.raises(ValueError, match="moving start"):
+            simulate_conditional(plant, HETERODYNE, ZERO_GAIN,
+                                 SimConfig(dt=0.05, t_final=2.0, n_traj=2, seed=0),
+                                 v0=open_loop_V(p))
+        stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN,
+                                     SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0),
+                                     v0=riccati_steady(plant, HETERODYNE))
+        assert np.all(np.isfinite(stats.mean_outer)) and np.any(stats.mean_outer)
         with pytest.raises(ValueError):
-            SimConfig(dt=0.05)  # above the step cap
+            SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_traj=0)
         with pytest.raises(ValueError):
