@@ -500,7 +500,7 @@ class TestValidation:
                                  v0=open_loop_V(p))
         stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN,
                                      SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0),
-                                     v0=riccati_steady(plant, HETERODYNE))
+                                     v0=conditional_V(p, SchemeId.HETERODYNE))
         assert np.all(np.isfinite(stats.mean_outer)) and np.any(stats.mean_outer)
         with pytest.raises(ValueError):
             SimConfig(dt=0.0)
