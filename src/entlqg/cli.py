@@ -249,6 +249,9 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
     trajectory statistics are then compared with W and with the Lyapunov
     steady state of the closed loop.
     """
+    if ntraj < 2:
+        raise click.BadParameter("a standard error needs at least two trajectories",
+                                 param_hint="'--ntraj'")
     try:
         cfg = SimConfig(dt=dt, t_final=horizon, n_traj=ntraj, seed=seed)
     except ValueError as exc:

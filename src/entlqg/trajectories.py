@@ -40,12 +40,10 @@ class SimConfig:
     dt, which only sets how finely the kept window is sampled; the midpoint
     transit of a moving start needs dt <= 1e-2. The statistics keep the last
     1 - ``_BURN_IN`` of the horizon; a run whose covariance is held starts
-    there, at t_b = ``_BURN_IN`` * t_final. Each trajectory draws its
-    start and its Gaussian increments from an independent counter-based
-    stream derived from the master seed, so a trajectory's result is
-    bit-identical whatever the ensemble size or chunking (an ensemble of one
-    trajectory excepted: NumPy steps it on a matrix-vector path that can
-    differ in the last bits).
+    there, at t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
+    increments come from one counter-based Philox stream per row chunk,
+    keyed on the master seed and the chunk index, so a run is bit-identical
+    for the same seed and ensemble size.
     """
 
     dt: float = 1e-2
@@ -94,9 +92,9 @@ def _sem(samples: np.ndarray) -> np.ndarray:
     return samples.std(axis=0, ddof=1 if n > 1 else 0) / np.sqrt(n)
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    # Counter-based splitting: one Philox key per (seed, trajectory) pair.
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    # Counter-based splitting: one Philox key per (seed, row chunk) pair.
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk))
 
 
 def _psd_root(M: np.ndarray) -> np.ndarray:
@@ -151,13 +149,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     exponential-midpoint step X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi
     with xi 2L standard normals, which errs at second order in dt: a moving
     start raises ``ValueError`` for dt > 1e-2 and warns of transient bias when
-    t_final is below ten slowest closed-loop time constants. Each trajectory
-    draws from its own Philox stream, first the 2N start normals of a held
-    start, then its increments in blocks of ``_BLOCK`` steps, bit-identical to
-    one draw over the whole window, and nothing when the covariance is held and
-    K is exactly zero, which leaves every aggregate exactly zero. Row chunks of
-    up to ``_ROWS`` trajectories bound peak memory, which does not grow with
-    the horizon. Divergence is reported at its step on the full horizon grid.
+    t_final is below ten slowest closed-loop time constants. Even row chunks
+    of up to ``_ROWS`` trajectories draw from one Philox stream per row chunk:
+    the (rows, 2N) start normals of a held start, then time-major increments
+    in ``_BLOCK``-step blocks, bit-identical to one draw over the window, and
+    nothing when the covariance is held and K is exactly zero, which leaves
+    every aggregate exactly zero. A run is bit-identical for the same seed and
+    ensemble size; peak memory does not grow with the horizon. Divergence is
+    reported at its step on the full horizon grid.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -204,20 +203,21 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     else:
         K, Phit, Kt = hold(V)
 
-    # Even row chunks, so that no chunk holds a lone trajectory: NumPy would
-    # step it on its matrix-vector path, whose last bits differ.
+    # Even row chunks, so that none is a small remainder with a high per-row
+    # step cost; the split depends on n_traj alone, and so do the streams.
     n_chunks = -(-cfg.n_traj // _ROWS)
     edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
     if not moving and not np.any(K):
         edges = [0]   # no noise reaches the means: they stay exactly zero
-    rngs = [_trajectory_rng(cfg.seed, i) for i in range(edges[-1])]
+    chunks = [(_chunk_rng(cfg.seed, c), *e) for c, e in enumerate(zip(edges, edges[1:]))]
     X_all = np.zeros((cfg.n_traj, n))
     # Held, the burn-in would only carry the means from zero towards their
     # stationary law: start them there and step only the kept window.
     first = 0 if moving else k_burn
-    if not moving and rngs:
-        eta = np.array([rng.standard_normal(n) for rng in rngs])
-        X_all[:] = eta @ _psd_root(lyapunov_steady(A_cl, K @ K.T).data).T
+    if not moving and chunks:
+        root = _psd_root(lyapunov_steady(A_cl, K @ K.T).data).T
+        for rng, lo, hi in chunks:
+            X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
     sum_xx = np.zeros((cfg.n_traj, n, n))
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
@@ -225,12 +225,9 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
             Vs = riccati_map(V, powers[:b + 1])
             V = Vs[b]
             Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
-        for lo, hi in zip(edges, edges[1:]):
-            xi = np.empty((hi - lo, _BLOCK, Kt.shape[-2]))
-            for draw, rng in zip(xi, rngs[lo:hi]):
-                rng.standard_normal(out=draw[:b])
+        for rng, lo, hi in chunks:
             # Time-major noise terms, overwritten in place by the states.
-            F = np.matmul(xi[:, :b].transpose(1, 0, 2), Kt)
+            F = np.matmul(rng.standard_normal((b, hi - lo, Kt.shape[-2])), Kt)
             X, step = X_all[lo:hi], np.empty((hi - lo, n))
             for f in F:
                 np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit

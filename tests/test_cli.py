@@ -180,6 +180,13 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--chi", "0.3", "--ntraj", "0"])
         assert result.exit_code == 2
 
+    def test_single_trajectory_rejected(self, runner):
+        # one trajectory gives no standard error, so the Monte-Carlo checks
+        # would have no tolerance to judge by
+        result = runner.invoke(main, ["verify", "--chi", "0.3", "--ntraj", "1"])
+        assert result.exit_code == 2
+        assert "standard error needs at least two trajectories" in result.output
+
     def test_none_scheme(self, runner):
         result = runner.invoke(main, ["verify", "--chi", "0.2", "--scheme", "none",
                                       "--ntraj", "100", "--dt", "0.005",

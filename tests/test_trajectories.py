@@ -12,7 +12,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
-from entlqg.trajectories import _BLOCK, _BURN_IN, _held_step, _trajectory_rng
+from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _held_step
 from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
 from rk4 import rk4_step
 
@@ -52,16 +52,18 @@ class TestDeterminism:
         assert np.array_equal(a.outer_by_traj, b.outer_by_traj)
         assert np.array_equal(a.v_c_final.data, b.v_c_final.data)
 
-    def test_prefix_of_larger_ensemble_bitwise(self):
-        # each trajectory owns its noise stream, so the ensemble size does not
-        # change a trajectory's aggregates
+    def test_first_chunk_of_larger_ensemble_bitwise(self):
+        # each row chunk owns its noise stream, keyed on its index: 512
+        # trajectories split into two chunks of 256, the first of which is
+        # the whole of a 256-trajectory run, and the second draws other noise
         plant = build_plant(NopoParams(0.2))
         small, large = (simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN,
                                              SimConfig(dt=1e-2, t_final=5.0, n_traj=k,
                                                        seed=17),
                                              v0=q_homodyne_W(0.2))
-                        for k in (5, 300))
-        assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:5])
+                        for k in (_ROWS, 2 * _ROWS))
+        assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:_ROWS])
+        assert not np.array_equal(large.outer_by_traj[:_ROWS], large.outer_by_traj[_ROWS:])
 
     def test_different_seed_differs(self):
         plant = build_plant(NopoParams(0.2))
@@ -176,12 +178,15 @@ def _midpoint_reference(plant, u, gain, cfg, v0, hold_at=None):
     started at zero, by the exponential-midpoint rule, drawing 2L normals a
     step. From ``hold_at`` on the covariance is held and the means take the
     exact step e^{A_cl dt} X + R xi, R the root of the increment covariance,
-    drawing 2N normals a step. With ``hold_at = 0``, a held start, each
-    trajectory first draws its start in the chain's stationary law (by
-    Smith doubling), at the end of the burn-in, from which only the kept
-    window is stepped. Returns the time-averaged outer products of the
-    means and the final covariance.
+    drawing 2N normals a step. With ``hold_at = 0``, a held start, the
+    means first draw their start in the chain's stationary law (by Smith
+    doubling), at the end of the burn-in, from which only the kept window is
+    stepped. All trajectories fit in one row chunk, so every draw comes from
+    chunk 0's stream, time-major: one (steps, n_traj, width) draw per phase
+    equals the simulator's blocked draws. Returns the time-averaged outer
+    products of the means and the final covariance.
     """
+    assert cfg.n_traj <= _ROWS
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
     hold_at = n_steps if hold_at is None else hold_at
@@ -199,26 +204,24 @@ def _midpoint_reference(plant, u, gain, cfg, v0, hold_at=None):
     def increment(V):
         return _increment_by_eig(A_cl, V @ meas.C.T + meas.Gamma.T + gain.BF, dt)
 
-    rngs = [_trajectory_rng(cfg.seed, i) for i in range(cfg.n_traj)]
+    rng = _chunk_rng(cfg.seed, 0)
     X = np.zeros((cfg.n_traj, n))
     if hold_at == 0:
         Z = _smith_stationary(Phi_exact, increment(V))
-        X = np.stack([rng.normal(size=n) for rng in rngs]) @ _root(Z)
-    draws = [(rng.normal(size=(held_from - first, len(meas.C))),
-              rng.normal(size=(n_steps - held_from, n))) for rng in rngs]
-    moving_noise = np.stack([m for m, _ in draws]) * np.sqrt(dt)
-    held_noise = np.stack([h for _, h in draws])
+        X = rng.normal(size=(cfg.n_traj, n)) @ _root(Z)
+    moving_noise = rng.normal(size=(held_from - first, cfg.n_traj, len(meas.C))) * np.sqrt(dt)
+    held_noise = rng.normal(size=(n_steps - held_from, cfg.n_traj, n))
     SXX = np.zeros((cfg.n_traj, n, n))
     for k in range(first, n_steps):
         if k < hold_at:
             K = V @ meas.C.T + meas.Gamma.T + gain.BF
-            X = X @ (half @ half).T + moving_noise[:, k - first] @ (half @ K).T
+            X = X @ (half @ half).T + moving_noise[k - first] @ (half @ K).T
             V = ((Phi[:n, :n] @ V + Phi[:n, n:])
                  @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
         else:
             if k == held_from:
                 R = _root(increment(V))
-            X = X @ Phi_exact.T + held_noise[:, k - held_from] @ R.T
+            X = X @ Phi_exact.T + held_noise[k - held_from] @ R.T
         if k >= k_burn:
             SXX += np.einsum("ci,cj->cij", X, X)
     return SXX / (n_steps - k_burn), V
@@ -334,10 +337,10 @@ class TestMeanRecursion:
         cfg = SimConfig(t_final=20.0, n_traj=40, seed=7)
         drawn = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
 
-        def no_draw(seed, index):
+        def no_draw(seed, chunk):
             raise AssertionError("noise drawn for K = 0")
 
-        monkeypatch.setattr("entlqg.trajectories._trajectory_rng", no_draw)
+        monkeypatch.setattr("entlqg.trajectories._chunk_rng", no_draw)
         silent = simulate_conditional(plant, u, gain, cfg, v0=result.V)
         assert np.all(silent.mean_outer == 0)
         assert np.all(silent.outer_by_traj == 0)
