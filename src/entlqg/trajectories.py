@@ -21,10 +21,10 @@ from .dynamics import (PlantModel, _expm, diffusion_matrix, drift_matrix, is_hur
 from .errors import StabilityError, TrajectoryDivergenceError
 from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
-# riccati_steady has no caller here; the benchmark's tracer binds
-# entlqg.trajectories.riccati_steady by name.
-from .unravelling import (RICCATI_DERIVATIVE_TOL, Unravelling, measurement_model,
-                          riccati_map, riccati_propagator, riccati_rhs, riccati_steady)
+# riccati_rhs and riccati_steady have no caller here; the benchmark's tracer
+# binds entlqg.trajectories.riccati_rhs and .riccati_steady by name.
+from .unravelling import (RICCATI_REL_TOL, Unravelling, measurement_model, riccati_map,
+                          riccati_propagator, riccati_rel_residual, riccati_rhs, riccati_steady)
 
 _BLOCK = 256              # time steps per noise block
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
@@ -52,10 +52,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be at least dt")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and at least dt, got {self.t_final}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -131,13 +131,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     The conditional covariance starts from ``v0``; for steady-state
     operation pass the stationary conditional covariance W. On a fixed
-    point, where max|dV/dt| <= RICCATI_DERIVATIVE_TOL * max(1, max|V|), it
-    is held constant and ``v_c_final`` equals ``v0`` exactly. Otherwise
-    it is propagated exactly by V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1
-    with Phi = exp(H dt), one 4N x 4N exponential per run and one batched
-    ``riccati_map`` per block, until the end of the first ``_BLOCK``-step
-    block where the same fixed-point rule holds; from there it is held, as
-    if the run had started on it.
+    point, where ``riccati_rel_residual`` <= RICCATI_REL_TOL (the stop rule
+    of ``riccati_steady``), it is held and ``v_c_final`` equals ``v0``
+    exactly. Otherwise it is propagated exactly by
+    V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 with Phi = exp(H dt), one
+    4N x 4N exponential per run and one batched ``riccati_map`` per block,
+    until the end of the first ``_BLOCK``-step block where the same
+    fixed-point rule holds; from there it is held, as if the run had started
+    on it.
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. Under a held covariance they take the exact
@@ -167,10 +168,6 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     if not is_hurwitz(A_cl):
         raise StabilityError("closed-loop drift A + BF C is not Hurwitz")
 
-    def on_fixed_point(V):
-        rate = np.max(np.abs(riccati_rhs(A, D, C, Gamma, V)))
-        return rate <= RICCATI_DERIVATIVE_TOL * max(1.0, np.max(np.abs(V)))
-
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
     n = A.shape[0]
@@ -181,7 +178,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         Phi, Q = _held_step(A_cl, K, dt)
         return K, Phi.T, _psd_root(Q).T
 
-    moving = not on_fixed_point(V)
+    moving = not riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL
     if moving:
         if dt > 1e-2:
             raise ValueError(f"a moving start needs dt <= 1e-2, got {dt}")
@@ -240,7 +237,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
             X_all[lo:hi] = X
             kept = F[max(0, k_burn - start):]
             sum_xx[lo:hi] += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
-        if moving and on_fixed_point(V):
+        if moving and riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
             # The start rule, applied at the block's end: hold V from here.
             moving = False
             _, Phit, Kt = hold(V)

@@ -187,6 +187,14 @@ class TestVerify:
         assert result.exit_code == 2
         assert "standard error needs at least two trajectories" in result.output
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, runner, horizon):
+        # a non-finite horizon has no step count: an argument error, not a
+        # traceback with the exit code of a failed check
+        result = runner.invoke(main, ["verify", "--chi", "0.3", "--horizon", horizon])
+        assert result.exit_code == 2
+        assert "t_final must be finite" in result.output
+
     def test_none_scheme(self, runner):
         result = runner.invoke(main, ["verify", "--chi", "0.2", "--scheme", "none",
                                       "--ntraj", "100", "--dt", "0.005",

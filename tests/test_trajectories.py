@@ -13,7 +13,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
 from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _held_step
-from entlqg.unravelling import RICCATI_DERIVATIVE_TOL, riccati_map, riccati_propagator
+from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_propagator
 from rk4 import rk4_step
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
@@ -268,9 +268,10 @@ class TestMeanRecursion:
 
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
-        rates = [np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) for V in ends]
+        rels = [np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) / np.max(np.abs(V))
+                for V in ends]
         assert len(ends) < -(-cfg.n_steps // _BLOCK)   # stopped mid-run
-        assert min(rates[:-1]) > RICCATI_DERIVATIVE_TOL >= rates[-1]
+        assert min(rels[:-1]) > RICCATI_REL_TOL >= rels[-1]
         assert np.array_equal(stats.v_c_final.data, ends[-1])
         W = riccati_steady(plant, u).data
         assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
@@ -511,6 +512,11 @@ class TestValidation:
             SimConfig(n_traj=0)
         with pytest.raises(ValueError):
             SimConfig(t_final=1e-5, dt=1e-3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(t_final=bad)
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(dt=bad)
 
     def test_largest_seed_runs(self):
         cfg = SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=2**64 - 1)

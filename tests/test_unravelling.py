@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, InvalidUnravellingError,
-                    NoStableSolutionError, NopoParams, PlantModel, Unravelling,
-                    build_plant, diffusion_matrix, drift_matrix, lmi_feasible,
-                    lyapunov_steady, measurement_model, open_loop_V,
-                    optimal_nonlocal_alpha_beta, recover_unravelling, riccati_rhs,
-                    riccati_steady, symmetric_family_W, u_matrix)
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
+                    InvalidUnravellingError, NoStableSolutionError, NopoParams,
+                    PlantModel, SimConfig, Unravelling, build_plant, diffusion_matrix,
+                    drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
+                    open_loop_V, optimal_nonlocal_alpha_beta, recover_unravelling,
+                    riccati_rhs, riccati_steady, simulate_conditional,
+                    symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
-from entlqg.unravelling import (RICCATI_DERIVATIVE_TOL, _cbar, riccati_map,
-                                riccati_propagator)
+from entlqg.unravelling import _cbar, filter_gap, riccati_map, riccati_propagator
 from rk4 import rk4_step
 
 PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
@@ -139,7 +139,7 @@ class TestMeasurementModel:
 
 def rk4_relaxation(plant, u, dt=0.01):
     """Oracle: RK4 integration of the covariance equation from the open-loop
-    state until max|dV/dt| <= RICCATI_DERIVATIVE_TOL."""
+    state until max|dV/dt| <= 1e-12, an absolute stop rule of its own."""
     A, D = drift_matrix(plant), diffusion_matrix(plant)
     meas = measurement_model(plant, u)
 
@@ -150,7 +150,7 @@ def rk4_relaxation(plant, u, dt=0.01):
     V = lyapunov_steady(A, D).data
     for _ in range(10**6):
         k1 = rhs(V)
-        if np.max(np.abs(k1)) <= RICCATI_DERIVATIVE_TOL:
+        if np.max(np.abs(k1)) <= 1e-12:
             return V
         V = rk4_step(rhs, V, dt, k1)
         V = 0.5 * (V + V.T)
@@ -186,12 +186,14 @@ class TestRiccatiSteady:
     @pytest.mark.parametrize("u", [HOMODYNE_Q, HETERODYNE, JOINT_HOMODYNE,
                                    random_unravelling(np.random.default_rng(29))],
                              ids=["homodyne-q", "heterodyne", "sigma-x", "random"])
-    def test_result_meets_the_simulator_hold_rule(self, chi, u):
+    def test_result_is_held_by_the_simulator(self, chi, u):
+        # riccati_steady stops on the simulator's hold rule, so a run started
+        # on its W holds the covariance: a moving one would leave it by rounding
         plant = build_plant(NopoParams(chi))
-        W = riccati_steady(plant, u).data
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        meas = measurement_model(plant, u)
-        assert np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, W))) <= RICCATI_DERIVATIVE_TOL
+        W = riccati_steady(plant, u)
+        cfg = SimConfig(dt=1e-2, t_final=1.0, n_traj=2, seed=0)
+        stats = simulate_conditional(plant, u, FeedbackGain(np.zeros((4, 4))), cfg, v0=W)
+        assert np.array_equal(stats.v_c_final.data, W.data)
 
     def test_backward_flow_lands_on_unphysical_solution(self):
         # Stepped backward, the exact flow relaxes to the anti-stabilizing
@@ -207,6 +209,14 @@ class TestRiccatiSteady:
             V = riccati_map(V, Phi)
         assert np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) <= 1e-10
         assert lmi_feasible(CovarianceMatrix(V), plant).physical_margin < -0.5
+        assert filter_gap(A, meas.C, meas.Gamma, V) > 0
+
+    def test_anti_stabilizing_landing_rejected(self, monkeypatch):
+        # run backward, the relaxation meets its stop rule on the
+        # anti-stabilizing solution; the filter gap certificate rejects it
+        monkeypatch.setattr("entlqg.unravelling._RICCATI_DT", -0.01)
+        with pytest.raises(NoStableSolutionError, match="not stabilizing"):
+            riccati_steady(build_plant(NopoParams(0.3)), HETERODYNE)
 
     @pytest.mark.parametrize("chi", [0.1, 0.25])
     def test_optimal_unravelling_reaches_family_pattern(self, chi):
