@@ -233,7 +233,7 @@ def _check(label: str, ok: bool, detail: str, lines: list[str]) -> bool:
 @click.option("--chi", type=float, required=True, callback=_validate_chi)
 @click.option("--scheme", callback=_parse_scheme, default="nonlocal", show_default=True)
 @click.option("--ntraj", type=int, default=1000, show_default=True)
-@click.option("--dt", type=float, default=0.1, show_default=True)
+@click.option("--dt", type=float, default=0.5, show_default=True)
 @click.option("--horizon", type=float, default=20.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,

@@ -41,9 +41,9 @@ class SimConfig:
     transit of a moving start needs dt <= 1e-2. The statistics keep the last
     1 - ``_BURN_IN`` of the horizon; a run whose covariance is held starts
     there, at t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
-    increments come from one counter-based Philox stream per row chunk,
-    keyed on the master seed and the chunk index, so a run is bit-identical
-    for the same seed and ensemble size.
+    increments come from one SFC64 stream per row chunk, seeded by the
+    SeedSequence spawn key (chunk,) of the master seed, so a run is
+    bit-identical for the same seed and ensemble size.
     """
 
     dt: float = 1e-2
@@ -88,13 +88,14 @@ class TrajectoryStats:
 
 def _sem(samples: np.ndarray) -> np.ndarray:
     """Standard error of the mean over the first axis, one sample per trajectory."""
-    n = len(samples)
-    return samples.std(axis=0, ddof=1 if n > 1 else 0) / np.sqrt(n)
+    if len(samples) < 2:
+        raise ValueError("a standard error needs at least two trajectories")
+    return samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    # Counter-based splitting: one Philox key per (seed, row chunk) pair.
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk))
+    """One SFC64 stream per row chunk, seeded by the chunk's SeedSequence spawn key."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 def _psd_root(M: np.ndarray) -> np.ndarray:
@@ -150,14 +151,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     exponential-midpoint step X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi
     with xi 2L standard normals, which errs at second order in dt: a moving
     start raises ``ValueError`` for dt > 1e-2 and warns of transient bias when
-    t_final is below ten slowest closed-loop time constants. Even row chunks
-    of up to ``_ROWS`` trajectories draw from one Philox stream per row chunk:
-    the (rows, 2N) start normals of a held start, then time-major increments
-    in ``_BLOCK``-step blocks, bit-identical to one draw over the window, and
-    nothing when the covariance is held and K is exactly zero, which leaves
-    every aggregate exactly zero. A run is bit-identical for the same seed and
-    ensemble size; peak memory does not grow with the horizon. Divergence is
-    reported at its step on the full horizon grid.
+    t_final is below ten slowest closed-loop time constants. Even row chunks of
+    up to ``_ROWS`` trajectories each draw from one SFC64 stream, seeded by a
+    SeedSequence spawn key: the (rows, 2N) start normals of a held start, then
+    time-major increments in ``_BLOCK``-step blocks, bit-identical to one draw
+    over the window, and nothing when the covariance is held and K is exactly
+    zero, which leaves every aggregate exactly zero. A run is bit-identical for
+    the same seed and ensemble size; peak memory does not grow with the
+    horizon. Divergence is reported at its step on the full horizon grid.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)

@@ -24,6 +24,7 @@ RICCATI_REL_TOL = 1e-12
 RICCATI_MAX_STEPS = 10**7
 _RICCATI_DT = 0.01
 RECOVERY_RESIDUAL_TOL = 1e-8
+_RECOVERY_SNAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,7 @@ def lmi_feasible(W: CovarianceMatrix, plant: PlantModel, tol: float = 1e-9) -> L
     A symmetric W is the stationary conditional covariance of some
     unravelling iff W + i Sigma / 2 >= 0 and D + A W + W A^T >= 0.
     """
-    A = drift_matrix(plant)
-    D = diffusion_matrix(plant)
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
     Sig = symplectic_form(plant.n_modes)
     m1 = float(np.linalg.eigvalsh(W.data + 0.5j * Sig).min().real)
     M = D + A @ W.data + W.data @ A.T
@@ -215,14 +215,15 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
 
     Returns the unravelling and the residual ||R^T U R - (D + A W + W A^T)||_inf,
     bounded by RECOVERY_RESIDUAL_TOL * max(1, max|W|)^2, the size of its terms.
+    Where W barely fixes U (W near the vacuum), eigenvalues of U within
+    _RECOVERY_SNAP of 0 or 1 are set to it when the snapped U meets that bound.
     """
     report = lmi_feasible(W, plant, tol=1e-8)
     if not report.feasible:
         raise ValueError(
             f"W violates the attainability inequalities (margins {report.physical_margin:.3e}, "
             f"{report.dissipation_margin:.3e})")
-    A = drift_matrix(plant)
-    D = diffusion_matrix(plant)
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
     Cb = _cbar(plant.Ctilde)
     S = _s_matrix(plant.n_channels)
     Sig = symplectic_form(plant.n_modes)
@@ -232,18 +233,17 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
     M = 0.5 * (M + M.T)
     R = 2.0 * Cb @ W.data + S @ Cb @ Sig
     Rp = np.linalg.pinv(R, rcond=1e-10)
-    U0 = Rp.T @ M @ Rp
-    U0 = 0.5 * (U0 + U0.T)
 
-    # Project onto the block structure (1/2)[[I+ReY, ImY], [ImY, I-ReY]].
-    re_y = U0[:L, :L] - U0[L:, L:]
-    re_y = 0.5 * (re_y + re_y.T)
-    im_y = U0[:L, L:] + U0[:L, L:].T
-    recovered = Unravelling(re_y + 1j * im_y)
+    # Y of the block form U = (1/2)[[I+ReY, ImY], [ImY, I-ReY]]; Unravelling symmetrizes it.
+    def structured(U):
+        return Unravelling(U[:L, :L] - U[L:, L:] + 2j * U[:L, L:])
 
-    U = u_matrix(recovered)  # raises InvalidUnravellingError if indefinite
-    residual = float(np.max(np.abs(R.T @ U @ R - M)))
+    recovered = structured(Rp.T @ M @ Rp)
+    _, w, Q = _u_eigh(recovered)   # raises InvalidUnravellingError if indefinite
+    w = np.where(w < _RECOVERY_SNAP, 0.0, np.where(w > 1.0 - _RECOVERY_SNAP, 1.0, w))
     bound = RECOVERY_RESIDUAL_TOL * max(1.0, np.max(np.abs(W.data))) ** 2
-    if residual > bound:
-        raise RecoveryError(f"recovery residual {residual:.3e} above {bound:.3e}")
-    return recovered, residual
+    for u in (structured((Q * w) @ Q.T), recovered):
+        residual = float(np.max(np.abs(R.T @ u_matrix(u) @ R - M)))
+        if residual <= bound:
+            return u, residual
+    raise RecoveryError(f"recovery residual {residual:.3e} above {bound:.3e}")

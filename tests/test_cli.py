@@ -233,6 +233,15 @@ class TestRecover:
         assert result.output.count("p1+p2") == 2
         assert "[0.5, -0.5, 0, 0]" in result.output
 
+    @pytest.mark.parametrize("chi", ["1e-9", "1e-5", "1e-4"])
+    def test_rows_labelled_near_zero_coupling(self, runner, chi):
+        # W barely fixes U here, yet the rows are the quadratures printed at 0.25
+        result = runner.invoke(main, ["recover", "--chi", chi])
+        assert result.exit_code == 0
+        assert result.output.count("q1-q2") == 2
+        assert result.output.count("p1+p2") == 2
+        assert "(mixed quadratures)" not in result.output
+
     def test_zero_coupling_degenerate(self, runner):
         result = runner.invoke(main, ["recover", "--chi", "0.0"])
         assert result.exit_code == 0

@@ -12,6 +12,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
                     optimize_scheme, regulation_cost, regulation_cost_sem,
                     riccati_rhs, riccati_steady, scheme_realization,
                     simulate_conditional)
+from entlqg.cli import main
 from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _held_step
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_propagator
 from rk4 import rk4_step
@@ -408,6 +409,50 @@ class TestExactHeldChain:
         assert np.max(np.abs(stats.mean_outer)) > 1e-3   # the noise drives the means
 
 
+def exact_mean_outer_se(A_cl, K, dt, horizon, n_traj):
+    """Exact standard error of mean_outer for a held start, entrywise.
+
+    The T kept means are the stationary chain X <- Phi X + R xi, whose lag
+    covariances are G_k = Phi^k Z. By Isserlis' theorem one trajectory's
+    time average M has Var(M_ij) = T^-2 sum_{|k|<T} (T - |k|)
+    (G_k,ii G_k,jj + G_k,ij G_k,ji); the lags k and -k contribute alike.
+    """
+    n_steps = int(round(horizon / dt))
+    T = n_steps - int(_BURN_IN * n_steps)
+    Phi = _expm_by_eig(dt * A_cl)
+    G = _smith_stationary(Phi, _increment_by_eig(A_cl, K, dt))
+    var = np.zeros_like(G)
+    for k in range(T):
+        var += (2 - (k == 0)) * (T - k) * (np.outer(np.diag(G), np.diag(G)) + G * G.T)
+        G = Phi @ G
+    return np.sqrt(var / (T**2 * n_traj))
+
+
+class TestExactStandardError:
+    @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45, 0.4999])
+    @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
+                                        SchemeId.LOCAL_IV])
+    def test_verify_default_step_keeps_the_standard_error(self, scheme, chi):
+        # The held chain is exact at any dt, which only sets how finely the
+        # kept window is sampled: at verify's default step the exact SE is
+        # that of dt = 0.1, and the simulator's estimate matches it.
+        defaults = {o.name: o.default for o in main.commands["verify"].params}
+        dt, horizon = defaults["dt"], defaults["horizon"]
+        p = NopoParams(chi)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        meas = measurement_model(plant, u)
+        A_cl = drift_matrix(plant) + gain.BF @ meas.C
+        W = conditional_V(p, scheme)
+        K = W.data @ meas.C.T + meas.Gamma.T + gain.BF
+        exact = exact_mean_outer_se(A_cl, K, dt, horizon, 1000).max()
+        fine = exact_mean_outer_se(A_cl, K, 0.1, horizon, 1000).max()
+        assert abs(exact / fine - 1) <= 0.02
+        cfg = SimConfig(dt=dt, t_final=horizon, n_traj=1000, seed=7)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=W)
+        assert abs(stats.mean_outer_sem().max() / exact - 1) <= 0.1
+
+
 class TestUnconditionalDecomposition:
     def test_zero_gain_recovers_open_loop(self, zero_gain_run):
         Vopen = open_loop_V(NopoParams(0.25)).data
@@ -517,6 +562,17 @@ class TestValidation:
                 SimConfig(t_final=bad)
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(dt=bad)
+
+    def test_one_trajectory_has_no_standard_error(self):
+        # an SE of exactly zero would collapse every k-SE check to its floor
+        p = NopoParams(0.25)
+        stats = simulate_conditional(build_plant(p), HETERODYNE, ZERO_GAIN,
+                                     SimConfig(dt=0.5, t_final=2.0, n_traj=1, seed=0),
+                                     v0=conditional_V(p, SchemeId.HETERODYNE))
+        assert np.any(stats.mean_outer)
+        for sem in (stats.mean_outer_sem, lambda: regulation_cost_sem(stats, cost_matrix())):
+            with pytest.raises(ValueError, match="at least two trajectories"):
+                sem()
 
     def test_largest_seed_runs(self):
         cfg = SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=2**64 - 1)

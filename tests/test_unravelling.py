@@ -5,9 +5,9 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
                     InvalidUnravellingError, NoStableSolutionError, NopoParams,
                     PlantModel, SimConfig, Unravelling, build_plant, diffusion_matrix,
                     drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
-                    open_loop_V, optimal_nonlocal_alpha_beta, recover_unravelling,
-                    riccati_rhs, riccati_steady, simulate_conditional,
-                    symmetric_family_W, u_matrix)
+                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                    recover_unravelling, riccati_rhs, riccati_steady,
+                    simulate_conditional, symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
 from entlqg.unravelling import _cbar, filter_gap, riccati_map, riccati_propagator
 from rk4 import rk4_step
@@ -314,6 +314,26 @@ class TestRecoverUnravelling:
         assert residual <= 1e-8
         W2 = riccati_steady(plant, u)
         assert np.max(np.abs(W2.data - W1.data)) <= 1e-7
+
+    @pytest.mark.parametrize("chi", [1e-9, 1e-5, 1e-4])
+    def test_near_vacuum_recovery_is_the_joint_homodyne_projector(self, chi):
+        # W barely fixes U near chi = 0: the least-squares U sits ~1e-16 / chi
+        # off the projector, and is snapped onto it
+        p = NopoParams(chi)
+        u, residual = recover_unravelling(optimal_nonlocal(p).V, build_plant(p))
+        assert residual <= 1e-8
+        assert np.max(np.abs(u_matrix(u) - PRINTED_OPTIMAL_U)) <= 1e-14
+
+    def test_snap_kept_only_where_it_reproduces_w(self, monkeypatch):
+        # U's eigenvalues 0.05 and 0.95 lie within a widened snap of 0 and 1,
+        # but the snapped U measures q alone and misses W: the fit is kept
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        W = riccati_steady(plant, Unravelling(0.9 * np.eye(2)))
+        monkeypatch.setattr("entlqg.unravelling._RECOVERY_SNAP", 0.1)
+        u, residual = recover_unravelling(W, plant)
+        assert residual <= 1e-8
+        assert np.max(np.abs(u.upsilon - 0.9 * np.eye(2))) <= 1e-10
 
     def test_zero_coupling_degenerate_recovery(self):
         p = NopoParams(0.0)
