@@ -2,16 +2,15 @@
 
 The conditional covariance is deterministic: held on a fixed point of its
 Riccati equation, or propagated exactly until it reaches one. The conditional
-means follow a linear SDE driven by the measurement noise and are stepped
-exactly at any dt under a held covariance, and by an exponential-midpoint rule
-through a moving covariance's transit. In steady state the unconditional
-covariance decomposes as the conditional covariance plus the ensemble second
-moment of the means, which is what the statistics returned here verify.
+means follow a linear SDE driven by the measurement noise, whose law is known
+in closed form at every step, so they take its exact step at any dt, held
+covariance or moving. In steady state the unconditional covariance decomposes
+as the conditional covariance plus the ensemble second moment of the means,
+which is what the statistics returned here verify.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .dynamics import (PlantModel, _expm, diffusion_matrix, drift_matrix, is_hurwitz,
                        lyapunov_steady)
 from .errors import StabilityError, TrajectoryDivergenceError
-from .feedback import FeedbackGain
+from .feedback import FeedbackGain, closed_loop
 from .gaussian import CovarianceMatrix
 # riccati_rhs and riccati_steady have no caller here; the benchmark's tracer
 # binds entlqg.trajectories.riccati_rhs and .riccati_steady by name.
@@ -36,11 +35,11 @@ _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 class SimConfig:
     """Simulation grid and ensemble settings.
 
-    dt and t_final are in damping-time units. A held chain is exact at any
-    dt, which only sets how finely the kept window is sampled; the midpoint
-    transit of a moving start needs dt <= 1e-2. The statistics keep the last
-    1 - ``_BURN_IN`` of the horizon; a run whose covariance is held starts
-    there, at t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
+    dt and t_final are in damping-time units. The means' chain is exact at
+    any dt, which only sets how finely the kept window is sampled; a moving
+    start's covariance path needs dt <= 1e-2. The statistics keep the last
+    1 - ``_BURN_IN`` of the horizon, and the means start there, at
+    t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
     increments come from one SFC64 stream per row chunk, seeded by the
     SeedSequence spawn key (chunk,) of the master seed, so a run is
     bit-identical for the same seed and ensemble size.
@@ -99,31 +98,14 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _psd_root(M: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive semidefinite matrix.
+    """Principal square root of a symmetric positive semidefinite matrix, or of each in a stack.
 
     Eigenvalues below 1e-12 times the largest are zeroed, a purely relative
     rule: round-off draws no noise, and a tiny nonzero matrix keeps its root.
     """
-    w, E = np.linalg.eigh(0.5 * (M + M.T))
-    return (E * np.sqrt(np.where(w < 1e-12 * w.max(), 0.0, w))) @ E.T
-
-
-def _held_step(A_cl: np.ndarray, K: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact drift Phi and increment covariance Q of the means over one held step.
-
-    With E = exp(h [[-A_cl, K K^T], [0, A_cl^T]]), Phi = e^{A_cl h} = E22^T and
-    Q = int_0^h e^{A_cl s} K K^T e^{A_cl^T s} ds = Phi E12 (Van Loan, IEEE TAC
-    23, 395 (1978)). h = dt / 2^m keeps |A_cl h|_1 <= 1, so e^{-A_cl h} cannot
-    overflow; m doublings Q <- Q + Phi Q Phi^T, Phi <- Phi^2 reach dt.
-    """
-    n = len(A_cl)
-    m = max(0, int(np.ceil(np.log2(dt * np.abs(A_cl).sum(axis=0).max()))))
-    E = _expm(dt / 2**m * np.block([[-A_cl, K @ K.T], [np.zeros((n, n)), A_cl.T]]))
-    Phi = E[n:, n:].T
-    Q = Phi @ E[:n, n:]
-    for _ in range(m):
-        Q, Phi = Q + Phi @ Q @ Phi.T, Phi @ Phi
-    return Phi, Q
+    w, E = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+    w = np.where(w < 1e-12 * w.max(axis=-1, keepdims=True), 0.0, w)
+    return (E * np.sqrt(w)[..., None, :]) @ E.swapaxes(-1, -2)
 
 
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
@@ -139,21 +121,27 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     4N x 4N exponential per run and one batched ``riccati_map`` per block,
     until the end of the first ``_BLOCK``-step block where the same
     fixed-point rule holds; from there it is held, as if the run had started
-    on it.
+    on it. A moving start raises ``ValueError`` for dt > 1e-2: the map
+    through the block's powers Phi^j, up to j = ``_BLOCK``, loses accuracy
+    as dt grows and turns singular (a 4e-11 error at dt 0.1 and a
+    ``LinAlgError`` at dt 0.5 for q-homodyne from the open-loop state at
+    chi 0.25).
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
-    and K = V_c C^T + Gamma^T + BF. Under a held covariance they take the exact
-    step X <- e^{A_cl dt} X + R xi at any dt, with xi 2N standard normals and R
-    the principal root of the increment covariance (``_held_step``); a held
-    start steps only the kept window, from the chain's exact stationary law
-    N(0, Z) at t_b, with Z = lyapunov_steady(A_cl, K K^T) = V_pred - W. Through
-    a moving covariance's transit the means, from zero at t = 0, take the
-    exponential-midpoint step X <- e^{A_cl dt} X + sqrt(dt) e^{A_cl dt/2} K xi
-    with xi 2L standard normals, which errs at second order in dt: a moving
-    start raises ``ValueError`` for dt > 1e-2 and warns of transient bias when
-    t_final is below ten slowest closed-loop time constants. Even row chunks of
-    up to ``_ROWS`` trajectories each draw from one SFC64 stream, seeded by a
-    SeedSequence spawn key: the (rows, 2N) start normals of a held start, then
+    and K = V_c C^T + Gamma^T + BF. Their law at step k is N(0, Z_k), so they
+    take the exact step X <- e^{A_cl dt} X + R_k xi at any dt, with xi 2N
+    standard normals and R_k the principal root of Q_k = Z_{k+1} - Phi Z_k
+    Phi^T, Phi = e^{A_cl dt}. Only the kept window is stepped, from a start
+    drawn in N(0, Z) at t_b = ``_BURN_IN`` * t_final. Under a held covariance
+    Z is the chain's stationary law lyapunov_steady(A_cl, K K^T) = V_pred - W,
+    which keeps Q accurate relative to its size when K is only round-off.
+    From a moving start, with the means zero at t = 0, Z = V_unc - V_c: the
+    unconditional covariance follows the closed-loop Lyapunov flow,
+    V_unc(t) = V_pred + P (v0 - V_pred) P^T with P = e^{A_cl t} and V_pred =
+    lyapunov_steady(A', D') of ``closed_loop``, so while the covariance moves
+    Q_k = (V_pred - Phi V_pred Phi^T) - (V_c,k+1 - Phi V_c,k Phi^T). Even row
+    chunks of up to ``_ROWS`` trajectories each draw from one SFC64 stream,
+    seeded by a SeedSequence spawn key: the (rows, 2N) start normals, then
     time-major increments in ``_BLOCK``-step blocks, bit-identical to one draw
     over the window, and nothing when the covariance is held and K is exactly
     zero, which leaves every aggregate exactly zero. A run is bit-identical for
@@ -164,7 +152,8 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     C, Gamma, BF = meas.C, meas.Gamma, gain.BF
-    A_cl = A + BF @ C
+    loop = closed_loop(A, D, gain, meas)
+    A_cl = loop.A_prime
 
     if not is_hurwitz(A_cl):
         raise StabilityError("closed-loop drift A + BF C is not Hurwitz")
@@ -173,75 +162,76 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     k_burn = int(_BURN_IN * n_steps)
     n = A.shape[0]
     V = v0.data
+    Phi = _expm(dt * A_cl)
 
-    def hold(V):   # the exact step of the means at a held covariance
+    def hold(V):   # K, the means' stationary law Z and the root of their step
         K = V @ C.T + Gamma.T + BF
-        Phi, Q = _held_step(A_cl, K, dt)
-        return K, Phi.T, _psd_root(Q).T
+        Z = lyapunov_steady(A_cl, K @ K.T).data
+        return K, Z, _psd_root(Z - Phi @ Z @ Phi.T)
 
     moving = not riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL
     if moving:
         if dt > 1e-2:
             raise ValueError(f"a moving start needs dt <= 1e-2, got {dt}")
-        # Only a moving start carries a transient into the statistics; a
-        # held one starts the means in their stationary law.
-        slowest = 1.0 / abs(np.linalg.eigvals(A_cl).real.max())
-        if cfg.t_final < 10.0 * slowest:
-            warnings.warn(
-                f"t_final={cfg.t_final} is below 10x the slowest closed-loop time "
-                f"constant ({slowest:.2f}); statistics may carry transient bias",
-                stacklevel=2)
-        Phi = riccati_propagator(A, D, C, Gamma, dt)
-        powers = np.empty((_BLOCK + 1, *Phi.shape))
-        powers[0] = np.eye(len(Phi))
+        H = riccati_propagator(A, D, C, Gamma, dt)
+        powers = np.empty((_BLOCK + 1, *H.shape))
+        powers[0] = np.eye(len(H))
         for j in range(_BLOCK):
-            powers[j + 1] = powers[j] @ Phi
-        half = _expm(0.5 * dt * A_cl)
-        Phit, Ht = (half @ half).T, np.sqrt(dt) * half.T
+            powers[j + 1] = powers[j] @ H
+        V_pred = lyapunov_steady(A_cl, loop.D_prime).data
+        Q_pred = V_pred - Phi @ V_pred @ Phi.T
+        P = _expm(k_burn * dt * A_cl)
+        V_unc_b = V_pred + P @ (V - V_pred) @ P.T   # V_unc at t_b
+        first = 0
     else:
-        K, Phit, Kt = hold(V)
+        K, Z, R = hold(V)
+        # Held, the burn-in would only carry the means towards N(0, Z):
+        # start them there.
+        first = k_burn
+    held_start = not moving
 
     # Even row chunks, so that none is a small remainder with a high per-row
     # step cost; the split depends on n_traj alone, and so do the streams.
     n_chunks = -(-cfg.n_traj // _ROWS)
     edges = [cfg.n_traj * k // n_chunks for k in range(n_chunks + 1)]
-    if not moving and not np.any(K):
+    if held_start and not np.any(K):
         edges = [0]   # no noise reaches the means: they stay exactly zero
     chunks = [(_chunk_rng(cfg.seed, c), *e) for c, e in enumerate(zip(edges, edges[1:]))]
     X_all = np.zeros((cfg.n_traj, n))
-    # Held, the burn-in would only carry the means from zero towards their
-    # stationary law: start them there and step only the kept window.
-    first = 0 if moving else k_burn
-    if not moving and chunks:
-        root = _psd_root(lyapunov_steady(A_cl, K @ K.T).data).T
-        for rng, lo, hi in chunks:
-            X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
     sum_xx = np.zeros((cfg.n_traj, n, n))
+    Phit = Phi.T
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
+        skip = max(0, k_burn - start)   # steps of this block before the kept window
         if moving:
             Vs = riccati_map(V, powers[:b + 1])
             V = Vs[b]
-            Kt = (Vs[:b] @ C.T + Gamma.T + BF).transpose(0, 2, 1) @ Ht
-        for rng, lo, hi in chunks:
-            # Time-major noise terms, overwritten in place by the states.
-            F = np.matmul(rng.standard_normal((b, hi - lo, Kt.shape[-2])), Kt)
-            X, step = X_all[lo:hi], np.empty((hi - lo, n))
-            for f in F:
-                np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit
-                f += step
-                X = f
-            if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
-                bad = lo + int(np.abs(X).max(axis=1).argmax())
-                raise TrajectoryDivergenceError(
-                    f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
-            X_all[lo:hi] = X
-            kept = F[max(0, k_burn - start):]
-            sum_xx[lo:hi] += np.einsum("tci,tcj->cij", kept, kept, optimize=True)
+        if skip < b:   # the block reaches into the kept window
+            if start <= k_burn:   # which opens here: draw the start in N(0, Z(t_b))
+                Z_b = Z if held_start else V_unc_b - (Vs[skip] if moving else V)
+                root = _psd_root(Z_b)
+                for rng, lo, hi in chunks:
+                    X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
+            if moving:
+                R = _psd_root(Q_pred - Vs[skip + 1:] + Phi @ Vs[skip:-1] @ Phit)
+            for rng, lo, hi in chunks:
+                # Time-major noise terms, overwritten in place by the states.
+                F = np.matmul(rng.standard_normal((b - skip, hi - lo, n)), R)
+                X, step = X_all[lo:hi], np.empty((hi - lo, n))
+                for f in F:
+                    np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit
+                    f += step
+                    X = f
+                if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
+                    bad = lo + int(np.abs(X).max(axis=1).argmax())
+                    raise TrajectoryDivergenceError(
+                        f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
+                X_all[lo:hi] = X
+                sum_xx[lo:hi] += np.einsum("tci,tcj->cij", F, F, optimize=True)
         if moving and riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
             # The start rule, applied at the block's end: hold V from here.
             moving = False
-            _, Phit, Kt = hold(V)
+            *_, R = hold(V)
     outer_by = sum_xx / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)
