@@ -35,11 +35,11 @@ _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 class SimConfig:
     """Simulation grid and ensemble settings.
 
-    dt and t_final are in damping-time units. The means' chain is exact at
-    any dt, which only sets how finely the kept window is sampled; a moving
-    start's covariance path needs dt <= 1e-2. The statistics keep the last
-    1 - ``_BURN_IN`` of the horizon, and the means start there, at
-    t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
+    dt and t_final are in damping-time units. The means' chain is exact, up
+    to round-off, at any dt, which only sets how finely the kept window is
+    sampled; a moving start's covariance path needs dt <= 1e-2. The
+    statistics keep the last 1 - ``_BURN_IN`` of the horizon, and the means
+    start there, at t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
     increments come from one SFC64 stream per row chunk, seeded by the
     SeedSequence spawn key (chunk,) of the master seed, so a run is
     bit-identical for the same seed and ensemble size.
@@ -129,19 +129,22 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. Their law at step k is N(0, Z_k), so they
-    take the exact step X <- e^{A_cl dt} X + R_k xi at any dt, with xi 2N
-    standard normals and R_k the principal root of Q_k = Z_{k+1} - Phi Z_k
-    Phi^T, Phi = e^{A_cl dt}. Only the kept window is stepped, from a start
-    drawn in N(0, Z) at t_b = ``_BURN_IN`` * t_final. Under a held covariance
-    Z is the chain's stationary law lyapunov_steady(A_cl, K K^T) = V_pred - W,
-    which keeps Q accurate relative to its size when K is only round-off.
-    From a moving start, with the means zero at t = 0, Z = V_unc - V_c: the
-    unconditional covariance follows the closed-loop Lyapunov flow,
-    V_unc(t) = V_pred + P (v0 - V_pred) P^T with P = e^{A_cl t} and V_pred =
-    lyapunov_steady(A', D') of ``closed_loop``, so while the covariance moves
-    Q_k = (V_pred - Phi V_pred Phi^T) - (V_c,k+1 - Phi V_c,k Phi^T). Even row
-    chunks of up to ``_ROWS`` trajectories each draw from one SFC64 stream,
-    seeded by a SeedSequence spawn key: the (rows, 2N) start normals, then
+    take the exact step X <- Phi X + R_k xi, Phi = e^{A_cl dt}, at any dt,
+    with xi 2N standard normals and R_k the principal root of
+    Q_k = Z_{k+1} - Phi Z_k Phi^T; only the kept window is stepped, from a
+    start drawn in N(0, Z) at t_b = ``_BURN_IN`` * t_final. Held, Z is the
+    stationary law lyapunov_steady(A_cl, K K^T) = V_pred - W, which keeps Q
+    accurate relative to its size when K is only round-off. From a moving
+    start (means zero at t = 0), Z = V_unc - V_c, as the unconditional state
+    follows the closed-loop Lyapunov flow V_unc(t) = V_pred + P (v0 - V_pred)
+    P^T, P = e^{A_cl t}, V_pred = lyapunov_steady(A', D') of ``closed_loop``:
+    while the covariance moves, Q_k = (V_pred - Phi V_pred Phi^T) -
+    (V_c,k+1 - Phi V_c,k Phi^T), V_c,k+1 the one-step map of V_c,k. Being a
+    difference of terms the size of Z or V, Q_k carries a few eps times their
+    max in round-off, large relative to Q_k ~ dt |K|^2 where dt or K is small
+    or chi nears threshold (6e-8 held at dt 1e-3 for local-iv at chi 0.4999).
+    Even row chunks of up to ``_ROWS`` trajectories each draw from one SFC64
+    stream, seeded by a SeedSequence spawn key: the (rows, 2N) start normals, then
     time-major increments in ``_BLOCK``-step blocks, bit-identical to one draw
     over the window, and nothing when the covariance is held and K is exactly
     zero, which leaves every aggregate exactly zero. A run is bit-identical for
@@ -185,9 +188,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         first = 0
     else:
         K, Z, R = hold(V)
-        # Held, the burn-in would only carry the means towards N(0, Z):
-        # start them there.
-        first = k_burn
+        first = k_burn   # the burn-in would only carry the means to N(0, Z)
     held_start = not moving
 
     # Even row chunks, so that none is a small remainder with a high per-row
@@ -212,8 +213,9 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                 root = _psd_root(Z_b)
                 for rng, lo, hi in chunks:
                     X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
-            if moving:
-                R = _psd_root(Q_pred - Vs[skip + 1:] + Phi @ Vs[skip:-1] @ Phit)
+            if moving:   # V_c,k+1 by one step from V_c,k: no path round-off in Q_k
+                Vk = Vs[skip:-1]
+                R = _psd_root(Q_pred + Phi @ Vk @ Phit - riccati_map(Vk, H))
             for rng, lo, hi in chunks:
                 # Time-major noise terms, overwritten in place by the states.
                 F = np.matmul(rng.standard_normal((b - skip, hi - lo, n)), R)

@@ -140,8 +140,8 @@ def riccati_propagator(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.nd
 
 
 def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 for one Phi or a stack of them."""
-    n = len(V)
+    """V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 for one V and Phi, or a stack of either."""
+    n = V.shape[-1]
     XY = Phi[..., :n] @ V + Phi[..., n:]
     # X Y^-1 = (Y^-T X^T)^T, and V is symmetric.
     Vs = np.linalg.solve(XY[..., n:, :].swapaxes(-1, -2), XY[..., :n, :].swapaxes(-1, -2))

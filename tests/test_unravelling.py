@@ -211,6 +211,19 @@ class TestRiccatiSteady:
         assert lmi_feasible(CovarianceMatrix(V), plant).physical_margin < -0.5
         assert filter_gap(A, meas.C, meas.Gamma, V) > 0
 
+    def test_map_of_a_stack_is_the_map_of_each(self):
+        # the simulator maps a block's covariances one step each in one call
+        plant = build_plant(NopoParams(0.3))
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, HETERODYNE)
+        Phi = riccati_propagator(A, D, meas.C, meas.Gamma, 0.01)
+        Vs = [lyapunov_steady(A, D).data]
+        for _ in range(2):
+            Vs.append(riccati_map(Vs[-1], Phi))
+        got = riccati_map(np.stack(Vs), Phi)
+        want = np.stack([riccati_map(V, Phi) for V in Vs])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_anti_stabilizing_landing_rejected(self, monkeypatch):
         # run backward, the relaxation meets its stop rule on the
         # anti-stabilizing solution; the filter gap certificate rejects it
