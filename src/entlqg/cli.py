@@ -338,7 +338,12 @@ def _label_row(row: np.ndarray) -> str:
 @main.command()
 @click.option("--chi", type=float, required=True, callback=_validate_chi)
 def recover(chi: float):
-    """Recover the optimal unravelling from the optimal conditional covariance."""
+    """Recover the optimal unravelling from the optimal conditional covariance.
+
+    Near chi = 0, W - vacuum ~ chi fixes U only to ~1e-16 / chi, so below
+    chi ~ 1e-12 the rows may print as "(mixed quadratures)", and at chi = 0
+    U is not determined at all: every unravelling leaves the vacuum.
+    """
     p = NopoParams(chi)
     plant = build_plant(p)
     best = optimal_nonlocal(p)

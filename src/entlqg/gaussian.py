@@ -52,16 +52,6 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return self.data.shape[0] // 2
 
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "CovarianceMatrix":
-        return cls(np.eye(2 * n_modes) / 2)
-
-    @classmethod
-    def from_blocks(cls, gamma1: np.ndarray, gamma2: np.ndarray,
-                    sigma: np.ndarray) -> "CovarianceMatrix":
-        """Assemble a two-mode matrix [[gamma1, sigma], [sigma^T, gamma2]]."""
-        return cls(np.block([[gamma1, sigma], [np.asarray(sigma).T, gamma2]]))
-
 
 def is_physical(V: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
     """Uncertainty-relation test: min eigenvalue of V + i*Sigma/2 >= -tol."""

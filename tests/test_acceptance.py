@@ -3,9 +3,10 @@ tolerance and prints a PASS/FAIL line (run with -s to see them inline)."""
 
 import numpy as np
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, NopoParams, SchemeId, Unravelling,
-                    build_plant, closed_loop, cost_matrix, diffusion_matrix,
-                    drift_matrix, heterodyne_gain, heterodyne_stable, homodyne_gain,
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix, NopoParams,
+                    SchemeId, build_plant, closed_loop, cost_matrix, diffusion_matrix,
+                    drift_matrix, heterodyne_closed_form_V, heterodyne_gain,
+                    heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
                     homodyne_stable, is_hurwitz, lmi_feasible, lyapunov_steady,
                     measurement_model, optimal_gain, optimal_nonlocal,
                     optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
@@ -13,11 +14,8 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, NopoParams, SchemeId, Unravelling,
                     scheme_realization, simulate_conditional, symmetric_family_W,
                     symplectic_eigenvalues, u_matrix, SimConfig)
 from entlqg.cli import MC_FLOOR
-
-CHI_GRID = np.round(np.arange(0.05, 0.4501, 0.05), 10)
-
-PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
-                                    [0, 0, 1, 1], [0, 0, 1, 1]])
+from oracles import (CHI_GRID, PRINTED_OPTIMAL_U, printed_heterodyne_loop,
+                     printed_homodyne_loop)
 
 
 def _report(name: str, failures: list[str]):
@@ -110,11 +108,9 @@ def test_criterion_04_purity():
         failures.append("case iii S not positive at chi=0.25")
     if not optimize_scheme(p, SchemeId.HETERODYNE).S > 0:
         failures.append("heterodyne S not positive at chi=0.25")
-    from entlqg import CovarianceMatrix
-    spectrum = symplectic_eigenvalues(
-        CovarianceMatrix.from_blocks(np.diag([0.5, 2 / 3]),
-                                     np.diag([0.5, 2 / 3]),
-                                     np.diag([0.25, -1 / 3])))
+    gamma, sigma = np.diag([0.5, 2 / 3]), np.diag([0.25, -1 / 3])
+    spectrum = symplectic_eigenvalues(CovarianceMatrix(np.block([[gamma, sigma],
+                                                                 [sigma.T, gamma]])))
     if np.max(np.abs(spectrum - 0.5)) > 1e-9:
         failures.append(f"case-iv benchmark spectrum {spectrum} != 1/2")
     _report("criterion 4: purity of nonlocal and case-iv states", failures)
@@ -122,11 +118,10 @@ def test_criterion_04_purity():
 
 def test_criterion_05_riccati_lmi_consistency():
     failures = []
-    u_opt = Unravelling(np.array([[0, -1], [-1, 0]], dtype=complex))
     for chi in (0.1, 0.25, 0.4):
         p = NopoParams(chi)
         plant = build_plant(p)
-        W = riccati_steady(plant, u_opt)
+        W = riccati_steady(plant, JOINT_HOMODYNE)
         alpha, beta = optimal_nonlocal_alpha_beta(chi)
         dev = np.max(np.abs(W.data - symmetric_family_W(alpha, beta).data))
         if dev > 1e-8:
@@ -173,19 +168,11 @@ def test_criterion_07_general_vs_printed_closed_loop():
         lm = rng.uniform(-0.5, 0.25 + chi / 2 - 1e-3)
         meas = measurement_model(plant, HOMODYNE_Q)
         loop = closed_loop(A, D, homodyne_gain(lp, lm), meas)
-        Ap = np.array([[-0.5 + lm + lp, 0, chi - lm + lp, 0],
-                       [0, -0.5, 0, -chi],
-                       [chi - lm + lp, 0, -0.5 + lm + lp, 0],
-                       [0, -chi, 0, -0.5]])
-        a = (1 - lm - lp)**2 + (lm - lp)**2
-        b = 2 * (1 - lm - lp) * (lm - lp)
-        Dp = 0.5 * np.array([[a, 0, b, 0], [0, 1, 0, 0],
-                             [b, 0, a, 0], [0, 0, 0, 1]])
+        Ap, Dp = printed_homodyne_loop(chi, lp, lm)
         if np.max(np.abs(loop.A_prime - Ap)) > 1e-12:
             failures.append(f"homodyne A' mismatch at draw {k}")
         if np.max(np.abs(loop.D_prime - Dp)) > 1e-12:
             failures.append(f"homodyne D' mismatch at draw {k}")
-        from entlqg import homodyne_closed_form_V
         V_cf = homodyne_closed_form_V(p, lp, lm)
         V_ly = lyapunov_steady(loop.A_prime, loop.D_prime)
         if np.max(np.abs(V_cf.data - V_ly.data)) > 1e-10:
@@ -194,17 +181,11 @@ def test_criterion_07_general_vs_printed_closed_loop():
         mu = rng.uniform(-0.5 - chi + 1e-3, 0.5 - chi - 1e-3)
         meas_h = measurement_model(plant, HETERODYNE)
         loop_h = closed_loop(A, D, heterodyne_gain(mu), meas_h)
-        c = chi + mu
-        Ap_h = np.array([[-0.5, 0, c, 0], [0, -0.5, 0, -c],
-                         [c, 0, -0.5, 0], [0, -c, 0, -0.5]])
-        d = 1 + 2 * mu * mu
-        Dp_h = 0.5 * np.array([[d, 0, -2 * mu, 0], [0, d, 0, 2 * mu],
-                               [-2 * mu, 0, d, 0], [0, 2 * mu, 0, d]])
+        Ap_h, Dp_h = printed_heterodyne_loop(chi, mu)
         if np.max(np.abs(loop_h.A_prime - Ap_h)) > 1e-12:
             failures.append(f"heterodyne A' mismatch at draw {k}")
         if np.max(np.abs(loop_h.D_prime - Dp_h)) > 1e-12:
             failures.append(f"heterodyne D' mismatch at draw {k}")
-        from entlqg import heterodyne_closed_form_V
         V_cf = heterodyne_closed_form_V(p, mu)
         V_ly = lyapunov_steady(loop_h.A_prime, loop_h.D_prime)
         if np.max(np.abs(V_cf.data - V_ly.data)) > 1e-10:
@@ -214,12 +195,11 @@ def test_criterion_07_general_vs_printed_closed_loop():
 
 def test_criterion_08_optimal_gain_fixed_point():
     failures = []
-    u_opt = Unravelling(np.array([[0, -1], [-1, 0]], dtype=complex))
     for chi in (0.05, 0.15, 0.25, 0.35, 0.45):
         p = NopoParams(chi)
         plant = build_plant(p)
-        W = riccati_steady(plant, u_opt)
-        meas = measurement_model(plant, u_opt)
+        W = riccati_steady(plant, JOINT_HOMODYNE)
+        meas = measurement_model(plant, JOINT_HOMODYNE)
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                            optimal_gain(W, meas), meas)
         V = lyapunov_steady(loop.A_prime, loop.D_prime)

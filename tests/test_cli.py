@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from entlqg import SchemeId
 from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main
+from oracles import DOMAIN_CHIS
 
 
 @pytest.fixture
@@ -203,8 +204,8 @@ class TestVerify:
 
 
 class TestVerifyNearThreshold:
-    # Relaxing the Riccati equation took more than 45 s per run here; the
-    # closed-form conditional states take well under 1 s on a 2-vCPU VM.
+    # verify takes each W in closed form, so a run ends well under 1 s on a 2-vCPU
+    # VM; 10 s leaves room for a slow machine but not for a Riccati relaxation.
     WALL_BOUND_S = 10.0
 
     @pytest.mark.parametrize("scheme", ["nonlocal", "heterodyne", "local-iii"])
@@ -246,6 +247,8 @@ class TestRecover:
         result = runner.invoke(main, ["recover", "--chi", "0.0"])
         assert result.exit_code == 0
         assert "residual" in result.output
+        help_text = " ".join(runner.invoke(main, ["recover", "--help"]).output.split())
+        assert "below chi ~ 1e-12" in help_text and "at chi = 0 U is not determined" in help_text
 
     def test_near_threshold(self, runner):
         result = runner.invoke(main, ["recover", "--chi", "0.45"])
@@ -258,7 +261,6 @@ class TestRecover:
 class TestDomainSweep:
     # Every command answers over the whole accepted domain, the threshold
     # tail included; the sweep takes about 2 s on a 2-vCPU VM.
-    CHIS = (0.0, 1e-9, 0.25, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
     WALL_BOUND_S = 30.0
 
     def test_every_command_across_the_domain(self, runner):
@@ -271,7 +273,7 @@ class TestDomainSweep:
             return result
 
         start = time.perf_counter()
-        for chi in map(str, self.CHIS):
+        for chi in map(str, DOMAIN_CHIS):
             run(["model", "--chi", chi])
             run(["recover", "--chi", chi])
             for scheme in (s.value for s in SchemeId):

@@ -2,32 +2,11 @@ import numpy as np
 import pytest
 
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
-                    MeasurementModel, NopoParams, build_plant, closed_loop,
-                    diffusion_matrix, drift_matrix, heterodyne_gain,
+                    MeasurementModel, NopoParams, SchemeId, build_plant, closed_loop,
+                    conditional_V, diffusion_matrix, drift_matrix, heterodyne_gain,
                     heterodyne_stable, homodyne_gain, homodyne_stable, is_hurwitz,
-                    lyapunov_steady, measurement_model, optimal_gain,
-                    riccati_steady, symmetric_family_W)
-
-
-def printed_homodyne_loop(chi, lp, lm):
-    Ap = np.array([[-0.5 + lm + lp, 0, chi - lm + lp, 0],
-                   [0, -0.5, 0, -chi],
-                   [chi - lm + lp, 0, -0.5 + lm + lp, 0],
-                   [0, -chi, 0, -0.5]])
-    a = (1 - lm - lp)**2 + (lm - lp)**2
-    b = 2 * (1 - lm - lp) * (lm - lp)
-    Dp = 0.5 * np.array([[a, 0, b, 0], [0, 1, 0, 0], [b, 0, a, 0], [0, 0, 0, 1]])
-    return Ap, Dp
-
-
-def printed_heterodyne_loop(chi, mu):
-    c = chi + mu
-    Ap = np.array([[-0.5, 0, c, 0], [0, -0.5, 0, -c],
-                   [c, 0, -0.5, 0], [0, -c, 0, -0.5]])
-    d = 1 + 2 * mu * mu
-    Dp = 0.5 * np.array([[d, 0, -2 * mu, 0], [0, d, 0, 2 * mu],
-                         [-2 * mu, 0, d, 0], [0, 2 * mu, 0, d]])
-    return Ap, Dp
+                    lyapunov_steady, measurement_model, optimal_gain, symmetric_family_W)
+from oracles import MEASUREMENTS, printed_heterodyne_loop, printed_homodyne_loop
 
 
 class TestClosedLoop:
@@ -72,9 +51,8 @@ class TestOptimalGain:
     def test_unconditional_state_reaches_conditional(self, chi):
         p = NopoParams(chi)
         plant = build_plant(p)
-        u = JOINT_HOMODYNE
-        W = riccati_steady(plant, u)
-        meas = measurement_model(plant, u)
+        W = conditional_V(p, SchemeId.NONLOCAL)
+        meas = measurement_model(plant, JOINT_HOMODYNE)
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                            optimal_gain(W, meas), meas)
         V = lyapunov_steady(loop.A_prime, loop.D_prime)
@@ -91,8 +69,8 @@ class TestOptimalGain:
         for chi in np.linspace(0.02, 0.45, 8):
             p = NopoParams(chi)
             plant = build_plant(p)
-            for u in (JOINT_HOMODYNE, HOMODYNE_Q, HETERODYNE):
-                W = riccati_steady(plant, u)
+            for scheme, u in MEASUREMENTS.items():
+                W = conditional_V(p, scheme)
                 meas = measurement_model(plant, u)
                 loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                                    optimal_gain(W, meas), meas)

@@ -4,76 +4,21 @@ import numpy as np
 import pytest
 
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
-                    SchemeId, StabilityError, build_plant, closed_loop_for_scheme,
-                    conditional_V, cost_matrix, diffusion_matrix, drift_matrix,
-                    epr_variance, heterodyne_closed_form_V, heterodyne_optimal_mu,
-                    homodyne_closed_form_V, is_hurwitz, lmi_feasible, log_negativity,
-                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal,
-                    optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
-                    riccati_rhs, riccati_steady, scheme_curves, scheme_realization,
-                    symmetric_family_W, von_neumann_entropy)
+                    SchemeId, StabilityError, build_plant, closed_loop,
+                    closed_loop_for_scheme, conditional_V, cost_matrix, diffusion_matrix,
+                    drift_matrix, epr_variance, heterodyne_closed_form_V, heterodyne_gain,
+                    heterodyne_optimal_mu, homodyne_closed_form_V, homodyne_gain,
+                    lmi_feasible, log_negativity, lyapunov_steady, measurement_model,
+                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                    optimize_scheme, recover_unravelling, riccati_steady, scheme_curves,
+                    scheme_realization, symmetric_family_W, von_neumann_entropy)
+from entlqg.dynamics import HURWITZ_TOL
 from entlqg.nopo import EDGE_MARGIN
+from entlqg.unravelling import filter_gap, riccati_rel_residual
+from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
+                     expanded_homodyne_V, grid_minimizer, relative_error_to_exact)
 
-CHI_GRID = np.linspace(0.05, 0.45, 9)
-# The whole accepted domain, with the threshold tail where V has entries ~1/(1-2chi).
-DOMAIN_CHIS = (0.0, 1e-9, 0.25, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
 THRESHOLD_CHIS = (0.1, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
-
-
-def expanded_homodyne_V(chi, lp, lm):
-    """Homodyne stationary V as expanded rational functions; exact on Fractions."""
-    den = (1 + 2 * chi - 4 * lm) * (-1 + 2 * chi + 4 * lp)
-    gqq = (-1 + 4 * (1 + chi) * lp - 2 * (1 + 2 * chi) * lp**2
-           + lm**2 * (-2 + 4 * chi + 8 * lp)
-           - 4 * lm * (-1 + chi + 4 * lp - 2 * lp**2)) / (2 * den)
-    sqq = (lm**2 * (1 - 4 * lp) - lp**2 + 4 * lm * lp**2
-           + chi * (-1 + 2 * lm - 2 * lm**2 + 2 * lp - 2 * lp**2)) / den
-    gpp = 1 / (2 * (1 - 4 * chi**2))
-    spp = -chi / (1 - 4 * chi**2)
-    return [[gqq, 0, sqq, 0], [0, gpp, 0, spp], [sqq, 0, gqq, 0], [0, spp, 0, gpp]]
-
-
-def expanded_heterodyne_V(chi, mu):
-    """Heterodyne stationary V as expanded rational functions; exact on Fractions."""
-    den = -1 + 4 * (chi + mu)**2
-    g = (-1 + 4 * chi * mu + 2 * mu**2) / (2 * den)
-    s = -(chi + 2 * chi * mu**2 + 2 * mu**3) / den
-    return [[g, 0, s, 0], [0, g, 0, -s], [s, 0, g, 0], [0, -s, 0, g]]
-
-
-def relative_error_to_exact(V, exact):
-    """max|V - exact| / max|exact|, with the difference taken in exact arithmetic."""
-    scale = max(abs(x) for row in exact for x in row)
-    return float(max(abs(Fraction(float(V[i, j])) - Fraction(exact[i][j]))
-                     for i in range(4) for j in range(4)) / scale)
-
-
-def grid_minimizer(chi, grid=400):
-    """Independent oracle: minimize 2(alpha-beta) over the constrained (alpha, beta) family.
-
-    Constraints: alpha >= sqrt(1+4 beta^2)/2 (physicality of the family) and
-    1/2 - (alpha +/- beta)(1 -/+ 2chi) >= 0 (attainability). A dense grid is
-    refined five times around its best point. Returns (alpha, beta).
-    """
-    a_exp, b_exp = optimal_nonlocal_alpha_beta(chi)
-    a_lo, a_hi = 0.45, 0.5 / (1.0 - 2.0 * chi) + 0.2
-    b_lo, b_hi = -0.1, 1.5 * b_exp + 0.2
-    best = (np.inf, a_exp, b_exp)
-    for _ in range(5):
-        al = np.linspace(a_lo, a_hi, grid)
-        be = np.linspace(b_lo, b_hi, grid)
-        A, B = np.meshgrid(al, be, indexing="ij")
-        feasible = ((A - 0.5 * np.sqrt(1.0 + 4.0 * B**2) >= 0)
-                    & (0.5 - (A + B) * (1.0 - 2.0 * chi) >= 0)
-                    & (0.5 - (A - B) * (1.0 + 2.0 * chi) >= 0))
-        m = np.where(feasible, 2.0 * (A - B), np.inf)
-        k = np.unravel_index(np.argmin(m), m.shape)
-        if m[k] < best[0]:
-            best = (float(m[k]), float(A[k]), float(B[k]))
-        da, db = al[1] - al[0], be[1] - be[0]
-        a_lo, a_hi = best[1] - 2 * da, best[1] + 2 * da
-        b_lo, b_hi = best[2] - 2 * db, best[2] + 2 * db
-    return best[1], best[2]
 
 
 def assert_closed_form_is_grid_optimum(chi, grid=400):
@@ -258,7 +203,6 @@ class TestHomodyneClosedForm:
             lm = rng.uniform(-0.5, 0.25 + chi / 2 - 1e-3)
             p = NopoParams(chi)
             plant = build_plant(p)
-            from entlqg import HOMODYNE_Q, closed_loop, homodyne_gain, measurement_model
             loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                                homodyne_gain(lp, lm),
                                measurement_model(plant, HOMODYNE_Q))
@@ -305,7 +249,6 @@ class TestHeterodyneClosedForm:
         p = NopoParams(0.25)
         mu = heterodyne_optimal_mu(0.25)
         plant = build_plant(p)
-        from entlqg import HETERODYNE, closed_loop, heterodyne_gain, measurement_model
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                            heterodyne_gain(mu), measurement_model(plant, HETERODYNE))
         V = lyapunov_steady(loop.A_prime, loop.D_prime)
@@ -314,7 +257,6 @@ class TestHeterodyneClosedForm:
     def test_generic_point_both_oracles(self):
         p = NopoParams(0.1)
         plant = build_plant(p)
-        from entlqg import HETERODYNE, closed_loop, heterodyne_gain, measurement_model
         loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
                            heterodyne_gain(-0.05), measurement_model(plant, HETERODYNE))
         V = lyapunov_steady(loop.A_prime, loop.D_prime)
@@ -456,20 +398,6 @@ class TestEprBound:
                 assert np.max(np.abs(V.data - r.V.data)) <= 1e-9 * scale, (chi, scheme)
 
 
-# The three measurements, each by a scheme that uses it.
-MEASUREMENTS = {SchemeId.LOCAL_III: HOMODYNE_Q, SchemeId.HETERODYNE: HETERODYNE,
-                SchemeId.NONLOCAL: JOINT_HOMODYNE}
-
-
-def riccati_certificate(chi, u, W):
-    """max|dW/dt| / max|W| under unravelling u, and the filter matrix A - Gamma^T C - W C^T C."""
-    plant = build_plant(NopoParams(chi))
-    A, D = drift_matrix(plant), diffusion_matrix(plant)
-    meas = measurement_model(plant, u)
-    rel = np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, W))) / np.max(np.abs(W))
-    return rel, A - meas.Gamma.T @ meas.C - W @ meas.C.T @ meas.C
-
-
 class TestConditionalV:
     @pytest.mark.parametrize("chi", (0.05, 0.25, 0.45))
     @pytest.mark.parametrize("scheme", MEASUREMENTS)
@@ -481,15 +409,20 @@ class TestConditionalV:
     @pytest.mark.parametrize("chi", DOMAIN_CHIS)
     @pytest.mark.parametrize("scheme", MEASUREMENTS)
     def test_stabilizing_solution_over_whole_domain(self, scheme, chi):
+        plant = build_plant(NopoParams(chi))
         W = conditional_V(NopoParams(chi), scheme)
-        rel, F = riccati_certificate(chi, MEASUREMENTS[scheme], W.data)
-        assert rel <= 1e-14
-        assert is_hurwitz(F)
-        assert lmi_feasible(W, build_plant(NopoParams(chi))).feasible
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, MEASUREMENTS[scheme])
+        assert riccati_rel_residual(A, D, meas.C, meas.Gamma, W.data) <= 1e-14
+        assert filter_gap(A, meas.C, meas.Gamma, W.data) < -HURWITZ_TOL
+        assert lmi_feasible(W, plant).feasible
 
     def test_every_scheme_gets_the_state_of_its_measurement(self):
         p = NopoParams(0.25)
+        plant = build_plant(p)
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
         for scheme in SchemeId:
             u, _ = scheme_realization(p, optimize_scheme(p, scheme))
-            rel, _ = riccati_certificate(p.chi, u, conditional_V(p, scheme).data)
-            assert rel <= 1e-14, scheme
+            meas = measurement_model(plant, u)
+            W = conditional_V(p, scheme).data
+            assert riccati_rel_residual(A, D, meas.C, meas.Gamma, W) <= 1e-14, scheme

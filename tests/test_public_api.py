@@ -1,3 +1,7 @@
+import ast
+from collections import defaultdict
+from pathlib import Path
+
 import entlqg
 
 
@@ -5,3 +9,19 @@ def test_every_exported_name_resolves_once():
     names = entlqg.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(entlqg, n)] == []
+
+
+def test_no_test_helper_is_defined_twice():
+    # an oracle, printed matrix or chi set that two modules share lives in oracles.py
+    homes = defaultdict(list)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:   # the names an assignment binds; none for other statements
+                names = [n.id for t in getattr(node, "targets", []) for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            for name in names:
+                if not name.startswith(("test_", "Test")):
+                    homes[name].append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}

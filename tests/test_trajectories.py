@@ -3,24 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, FeedbackGain, NopoParams,
-                    PlantModel, SchemeId, SimConfig, StabilityError,
+from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, CovarianceMatrix, FeedbackGain,
+                    NopoParams, PlantModel, SchemeId, SimConfig, StabilityError,
                     TrajectoryDivergenceError, Unravelling, build_plant, closed_loop,
                     closed_loop_for_scheme, conditional_V, cost_matrix,
-                    diffusion_matrix, drift_matrix, lyapunov_steady,
-                    measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
-                    optimize_scheme, regulation_cost, regulation_cost_sem,
-                    riccati_rhs, riccati_steady, scheme_realization,
-                    simulate_conditional)
-from entlqg.cli import main
+                    diffusion_matrix, drift_matrix, homodyne_gain, is_physical,
+                    lyapunov_steady, measurement_model, open_loop_V, optimal_gain,
+                    optimal_nonlocal, optimize_scheme, regulation_cost,
+                    regulation_cost_sem, riccati_rhs, riccati_steady,
+                    scheme_realization, simulate_conditional)
+from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import _expm
 from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng
-from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_propagator
-from rk4 import rk4_step
+from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_rel_residual
+from oracles import (exact_mean_outer_se, exact_reference, expm_by_eig, increment_by_eig,
+                     means_rhs, rk4_step)
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
-MC_FLOOR = 1e-9
-RK4_SUBSTEPS = 8   # RK4 steps per time step in the reference: its error stays below 1e-13
 
 
 def q_homodyne_W(chi):
@@ -143,110 +142,6 @@ class TestConditionalCovariance:
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
 
 
-def _expm_by_eig(M):
-    # independent of the simulator's Taylor _expm; M = A_cl dt is diagonalizable
-    lam, E = np.linalg.eig(M)
-    return ((E * np.exp(lam)) @ np.linalg.inv(E)).real
-
-
-def _smith_stationary(Phi, Q):
-    # Z = Phi Z Phi^T + Q by doubling: Z <- Z + M Z M^T, M <- M^2
-    Z, M = Q, Phi
-    for _ in range(64):   # sums 2^64 terms of the series
-        Z, M = Z + M @ Z @ M.T, M @ M
-    return Z
-
-
-def _increment_by_eig(A_cl, K, dt):
-    # int_0^dt e^{A_cl s} K K^T e^{A_cl^T s} ds in the eigenbasis of A_cl,
-    # independent of the simulator's Lyapunov solve and exponential
-    lam, E = np.linalg.eig(A_cl)
-    Einv = np.linalg.inv(E)
-    s = lam[:, None] + lam[None, :]
-    return (E @ (Einv @ K @ K.T @ Einv.T * np.expm1(s * dt) / s) @ E.T).real
-
-
-def _root(M):
-    # principal root, eigenvalues below a relative 1e-12 taken as zero
-    w, E = np.linalg.eigh(M)
-    w[w < 1e-12 * w.max()] = 0.0
-    return (E * np.sqrt(w)) @ E.T
-
-
-def _means_rhs(A, D, meas, gain, held):
-    """dV/dt = riccati_rhs(V) (zero when held) and dZ/dt = A_cl Z + Z A_cl^T + K K^T."""
-    C, Gamma = meas.C, meas.Gamma
-    A_cl = A + gain.BF @ C
-
-    def rhs(S):
-        V, Z = S
-        K = V @ C.T + Gamma.T + gain.BF
-        dV = np.zeros_like(V) if held else riccati_rhs(A, D, C, Gamma, V)
-        return np.stack([dV, A_cl @ Z + Z @ A_cl.T + K @ K.T])
-    return rhs
-
-
-def _rk4_moment(rhs, V, Z, t):
-    """The second moment Z of the means after t, by RK4 of the joint (V, Z) equations."""
-    S = np.stack([V, Z])
-    for _ in range(RK4_SUBSTEPS):
-        S = rk4_step(rhs, S, t / RK4_SUBSTEPS)
-    return S[1]
-
-
-def _exact_reference(plant, u, gain, cfg, v0, hold_at=None):
-    """Per-step means on the simulator's own draws, with increments from RK4.
-
-    The covariance is stepped from ``v0`` one linear-fractional map at a
-    time up to step ``hold_at`` (by default the whole horizon) and held from
-    there. The increment covariance Q_k of the means over step k is the Z
-    that RK4 reaches from (V_k, 0) over dt, so the reference does not rest
-    on the closed-loop identity the simulator uses. The means start at the
-    end of the burn-in: with ``hold_at = 0``, a held start, in the chain's
-    stationary law (by Smith doubling); otherwise in the law that RK4 of the
-    joint equations reaches from (v0, 0) at t = 0. Then X <- e^{A_cl dt} X +
-    R_k xi with R_k the root of Q_k and xi 2N normals. All trajectories fit in
-    one row chunk, so every draw comes from chunk 0's stream, time-major.
-    Returns the time-averaged outer products of the means and the final
-    covariance.
-    """
-    assert cfg.n_traj <= _ROWS
-    n_steps, dt = cfg.n_steps, cfg.dt
-    k_burn = int(_BURN_IN * n_steps)
-    hold_at = n_steps if hold_at is None else hold_at
-    A, D = drift_matrix(plant), diffusion_matrix(plant)
-    meas = measurement_model(plant, u)
-    Phi_cl = _expm_by_eig(dt * (A + gain.BF @ meas.C))
-    V = v0.data
-    n = len(V)
-    Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
-    moving, held = (_means_rhs(A, D, meas, gain, held) for held in (False, True))
-
-    def lf_map(V):
-        return ((Phi[:n, :n] @ V + Phi[:n, n:])
-                @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
-
-    Z = np.zeros((n, n))
-    if hold_at == 0:
-        Z = _smith_stationary(Phi_cl, _rk4_moment(held, V, Z, dt))
-    for k in range(k_burn if hold_at else 0):
-        Z = _rk4_moment(moving if k < hold_at else held, V, Z, dt)
-        if k < hold_at:
-            V = lf_map(V)
-    rng = _chunk_rng(cfg.seed, 0)
-    X = rng.normal(size=(cfg.n_traj, n)) @ _root(Z)
-    noise = rng.normal(size=(n_steps - k_burn, cfg.n_traj, n))
-    SXX = np.zeros((cfg.n_traj, n, n))
-    for k in range(k_burn, n_steps):
-        if k < hold_at or k == max(k_burn, hold_at):
-            R = _root(_rk4_moment(moving if k < hold_at else held, V, np.zeros((n, n)), dt))
-        if k < hold_at:
-            V = lf_map(V)
-        X = X @ Phi_cl.T + noise[k - k_burn] @ R
-        SXX += np.einsum("ci,cj->cij", X, X)
-    return SXX / (n_steps - k_burn), V
-
-
 class TestMeanRecursion:
     @pytest.mark.parametrize("transient", [False, True])
     def test_matches_per_step_exact_reference(self, transient):
@@ -260,9 +155,9 @@ class TestMeanRecursion:
         cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
-        v0 = open_loop_V(p) if transient else riccati_steady(plant, u)
+        v0 = open_loop_V(p) if transient else conditional_V(p, SchemeId.LOCAL_III)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-        refs = _exact_reference(plant, u, gain, cfg, v0, hold_at=None if transient else 0)
+        refs = exact_reference(plant, u, gain, cfg, v0, hold_at=None if transient else 0)
         # measured: 2.7e-14 held and 6.6e-13 moving, the simulator's own round-off
         # (the reference moves by 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
@@ -280,12 +175,12 @@ class TestMeanRecursion:
         loop = closed_loop(A, D, gain, meas)
         V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
         v0 = open_loop_V(p).data
-        rhs = _means_rhs(A, D, meas, gain, held=False)
+        rhs = means_rhs(A, D, meas, gain, held=False)
         S = np.stack([v0, np.zeros_like(v0)])
         for k in range(1, 3001):
             S = rk4_step(rhs, S, 1e-3)
             if k % 500 == 0:
-                P = _expm_by_eig(k * 1e-3 * loop.A_prime)
+                P = expm_by_eig(k * 1e-3 * loop.A_prime)
                 Z = V_pred + P @ (v0 - V_pred) @ P.T - S[0]
                 assert np.max(np.abs(S[1] - Z)) <= 1e-12 * np.max(np.abs(S[1]))
         assert np.max(np.abs(S[0] - v0)) > 1e-2   # a real transient
@@ -316,15 +211,14 @@ class TestMeanRecursion:
 
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
-        rels = [np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) / np.max(np.abs(V))
-                for V in ends]
+        rels = [riccati_rel_residual(A, D, meas.C, meas.Gamma, V) for V in ends]
         k_burn, hold_at = int(_BURN_IN * cfg.n_steps), len(ends) * _BLOCK
         assert hold_at == 9 * _BLOCK and (k_burn < hold_at) == (t_final == 40.0)
         assert min(rels[:-1]) > RICCATI_REL_TOL >= rels[-1]
         assert np.array_equal(stats.v_c_final.data, ends[-1])
-        W = riccati_steady(plant, u).data
+        W = conditional_V(p, SchemeId.HETERODYNE).data
         assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
-        ref_outer, _ = _exact_reference(plant, u, gain, cfg, v0, hold_at=hold_at)
+        ref_outer, _ = exact_reference(plant, u, gain, cfg, v0, hold_at=hold_at)
         ref = ref_outer.mean(axis=0)
         assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -439,7 +333,7 @@ class TestExactHeldChain:
         # (local-iv, chi 0.4999, dt 1e3), so it stays accurate relative to its
         # own size where K is only round-off (local-iv, max|Z| ~ 1e-16).
         for dt in (1e-3, 0.1, 0.5, 1e3):
-            Phi, Q = _expm_by_eig(dt * A_cl), _increment_by_eig(A_cl, K, dt)
+            Phi, Q = expm_by_eig(dt * A_cl), increment_by_eig(A_cl, K, dt)
             growth = max(1.0, dt * np.abs(A_cl).sum(axis=0).max())
             assert np.max(np.abs(Phi @ Z @ Phi.T + Q - Z)) <= 1e-14 * scale * growth
             Phi = _expm(dt * A_cl)
@@ -460,25 +354,6 @@ class TestExactHeldChain:
         tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
         assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
         assert np.max(np.abs(stats.mean_outer)) > 1e-3   # the noise drives the means
-
-
-def exact_mean_outer_se(A_cl, K, dt, horizon, n_traj):
-    """Exact standard error of mean_outer for a held start, entrywise.
-
-    The T kept means are the stationary chain X <- Phi X + R xi, whose lag
-    covariances are G_k = Phi^k Z. By Isserlis' theorem one trajectory's
-    time average M has Var(M_ij) = T^-2 sum_{|k|<T} (T - |k|)
-    (G_k,ii G_k,jj + G_k,ij G_k,ji); the lags k and -k contribute alike.
-    """
-    n_steps = int(round(horizon / dt))
-    T = n_steps - int(_BURN_IN * n_steps)
-    Phi = _expm_by_eig(dt * A_cl)
-    G = _smith_stationary(Phi, _increment_by_eig(A_cl, K, dt))
-    var = np.zeros_like(G)
-    for k in range(T):
-        var += (2 - (k == 0)) * (T - k) * (np.outer(np.diag(G), np.diag(G)) + G * G.T)
-        G = Phi @ G
-    return np.sqrt(var / (T**2 * n_traj))
 
 
 class TestExactStandardError:
@@ -513,7 +388,6 @@ class TestUnconditionalDecomposition:
         assert np.all(np.abs(zero_gain_run.v_unconditional - Vopen) <= tol)
 
     def test_unconditional_estimate_is_physical(self, zero_gain_run):
-        from entlqg import CovarianceMatrix, is_physical
         V = CovarianceMatrix(zero_gain_run.v_unconditional)
         assert is_physical(V, tol=1e-6)  # Monte-Carlo tolerance
 
@@ -525,13 +399,12 @@ class TestUnconditionalDecomposition:
 
     def test_scheme_gain_matches_closed_loop_lyapunov(self):
         p = NopoParams(0.25)
-        from entlqg import optimize_scheme
         result = optimize_scheme(p, SchemeId.LOCAL_III)
         u, gain = scheme_realization(p, result)
         loop = closed_loop_for_scheme(p, result)
         plant = build_plant(p)
         cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=3)
-        stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
+        stats = simulate_conditional(plant, u, gain, cfg, v0=conditional_V(p, result.scheme))
         V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
         tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
         assert np.all(np.abs(stats.v_unconditional - V_pred) <= tol)
@@ -585,7 +458,6 @@ class TestRegulationCost:
 class TestValidation:
     def test_unstable_closed_loop_rejected(self):
         plant = build_plant(NopoParams(0.25))
-        from entlqg import homodyne_gain
         with pytest.raises(StabilityError):
             simulate_conditional(plant, HOMODYNE_Q, homodyne_gain(0.3, 0.0),
                                  SimConfig(dt=1e-2, t_final=2.0, n_traj=2, seed=0),
@@ -643,7 +515,7 @@ class TestValidation:
         cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=3, seed=0)
         with pytest.raises(TrajectoryDivergenceError, match=f"by step {300 + _BLOCK}$"):
             simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg,
-                                 v0=riccati_steady(plant, HETERODYNE))
+                                 v0=conditional_V(p, SchemeId.HETERODYNE))
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_short_horizon_is_silent(self, moving):

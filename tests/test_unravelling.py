@@ -7,13 +7,11 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
                     drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
                     open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
                     recover_unravelling, riccati_rhs, riccati_steady,
-                    simulate_conditional, symmetric_family_W, u_matrix)
+                    simulate_conditional, symmetric_family_W, symplectic_form, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
 from entlqg.unravelling import _cbar, filter_gap, riccati_map, riccati_propagator
-from rk4 import rk4_step
+from oracles import PRINTED_OPTIMAL_U, rk4_relaxation
 
-PRINTED_OPTIMAL_U = 0.5 * np.array([[1, -1, 0, 0], [-1, 1, 0, 0],
-                                    [0, 0, 1, 1], [0, 0, 1, 1]])
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
 
@@ -137,26 +135,6 @@ class TestMeasurementModel:
             measurement_model(plant, Unravelling(np.zeros((3, 3), dtype=complex)))
 
 
-def rk4_relaxation(plant, u, dt=0.01):
-    """Oracle: RK4 integration of the covariance equation from the open-loop
-    state until max|dV/dt| <= 1e-12, an absolute stop rule of its own."""
-    A, D = drift_matrix(plant), diffusion_matrix(plant)
-    meas = measurement_model(plant, u)
-
-    def rhs(V):
-        K = V @ meas.C.T + meas.Gamma.T
-        return A @ V + V @ A.T + D - K @ (meas.C @ V + meas.Gamma)
-
-    V = lyapunov_steady(A, D).data
-    for _ in range(10**6):
-        k1 = rhs(V)
-        if np.max(np.abs(k1)) <= 1e-12:
-            return V
-        V = rk4_step(rhs, V, dt, k1)
-        V = 0.5 * (V + V.T)
-    raise AssertionError("RK4 oracle did not converge")
-
-
 class TestRiccatiRhs:
     def test_symmetric_form_matches_general_form(self):
         rng = np.random.default_rng(31)
@@ -257,7 +235,6 @@ class TestRiccatiSteady:
             riccati_steady(plant, Unravelling(np.zeros((2, 2), dtype=complex)))
 
     def test_both_riccati_forms_agree(self):
-        from entlqg import riccati_rhs, symplectic_form
         p = NopoParams(0.3)
         plant = build_plant(p)
         for u in (JOINT_HOMODYNE, HOMODYNE_Q, HETERODYNE):
@@ -351,7 +328,7 @@ class TestRecoverUnravelling:
     def test_zero_coupling_degenerate_recovery(self):
         p = NopoParams(0.0)
         plant = build_plant(p)
-        u, residual = recover_unravelling(CovarianceMatrix.vacuum(2), plant)
+        u, residual = recover_unravelling(CovarianceMatrix(np.eye(4) / 2), plant)
         assert residual <= 1e-8
         u_matrix(u)  # must be a valid unravelling
 
