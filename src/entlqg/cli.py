@@ -291,15 +291,15 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
 
     floor = MC_FLOOR * scale
     tol_dec = 5.0 * stats.mean_outer_sem() + floor
-    excess = np.max(np.abs(stats.v_unconditional - V_pred.data) - tol_dec)
-    ok &= _check("covariance decomposition", excess <= 0,
-                 f"max entrywise excess over 5 SE = {excess:.3e}", lines)
+    ratio = np.max(np.abs(stats.v_unconditional - V_pred.data) / tol_dec)
+    ok &= _check("covariance decomposition", ratio <= 1,
+                 f"worst |diff| / (5 SE + floor) = {ratio:.3e}", lines)
 
     if scheme is SchemeId.NONLOCAL:
         tol_outer = 4.0 * stats.mean_outer_sem() + floor
-        worst = np.max(np.abs(stats.mean_outer) - tol_outer)
-        ok &= _check("mean outer product regulated to zero", worst <= 0,
-                     f"max entrywise excess over 4 SE = {worst:.3e}", lines)
+        worst = np.max(np.abs(stats.mean_outer) / tol_outer)
+        ok &= _check("mean outer product regulated to zero", worst <= 1,
+                     f"worst |mean outer| / (4 SE + floor) = {worst:.3e}", lines)
 
         m_opt = result.m
         cost = regulation_cost(stats, cost_matrix())

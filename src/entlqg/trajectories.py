@@ -118,14 +118,14 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     of ``riccati_steady``), it is held and ``v_c_final`` equals ``v0``
     exactly. Otherwise it is propagated exactly by
     V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 with Phi = exp(H dt), one
-    4N x 4N exponential per run and one batched ``riccati_map`` per block,
-    until the end of the first ``_BLOCK``-step block where the same
-    fixed-point rule holds; from there it is held, as if the run had started
-    on it. A moving start raises ``ValueError`` for dt > 1e-2: the map
-    through the block's powers Phi^j, up to j = ``_BLOCK``, loses accuracy
-    as dt grows and turns singular (a 4e-11 error at dt 0.1 and a
-    ``LinAlgError`` at dt 0.5 for q-homodyne from the open-loop state at
-    chi 0.25).
+    4N x 4N exponential per run, until the end of the first ``_BLOCK``-step
+    block where the same fixed-point rule holds; from there it is held, as if
+    the run had started on it. One batched ``riccati_map`` a block maps V to
+    its end and to each of its steps in the kept window, the only path the
+    means read. A moving start raises ``ValueError`` for dt > 1e-2: the map
+    through the powers Phi^j, up to j = ``_BLOCK``, loses accuracy as dt
+    grows and turns singular (a 4e-11 error at dt 0.1 and a ``LinAlgError``
+    at dt 0.5 for q-homodyne from the open-loop state at chi 0.25).
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. Their law at step k is N(0, Z_k), so they
@@ -205,16 +205,16 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         b = min(_BLOCK, n_steps - start)
         skip = max(0, k_burn - start)   # steps of this block before the kept window
         if moving:
-            Vs = riccati_map(V, powers[:b + 1])
-            V = Vs[b]
+            Vs = riccati_map(V, powers[min(skip, b):b + 1])   # Vs[0]: first kept step, or the end
+            V = Vs[-1]
         if skip < b:   # the block reaches into the kept window
             if start <= k_burn:   # which opens here: draw the start in N(0, Z(t_b))
-                Z_b = Z if held_start else V_unc_b - (Vs[skip] if moving else V)
+                Z_b = Z if held_start else V_unc_b - (Vs[0] if moving else V)
                 root = _psd_root(Z_b)
                 for rng, lo, hi in chunks:
                     X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
             if moving:   # V_c,k+1 by one step from V_c,k: no path round-off in Q_k
-                Vk = Vs[skip:-1]
+                Vk = Vs[:-1]
                 R = _psd_root(Q_pred + Phi @ Vk @ Phit - riccati_map(Vk, H))
             for rng, lo, hi in chunks:
                 # Time-major noise terms, overwritten in place by the states.
@@ -229,7 +229,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                     raise TrajectoryDivergenceError(
                         f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
                 X_all[lo:hi] = X
-                sum_xx[lo:hi] += np.einsum("tci,tcj->cij", F, F, optimize=True)
+                sum_xx[lo:hi] += np.matmul(F.transpose(1, 2, 0), F.transpose(1, 0, 2))
         if moving and riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
             # The start rule, applied at the block's end: hold V from here.
             moving = False

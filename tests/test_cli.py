@@ -196,6 +196,19 @@ class TestVerify:
         assert result.exit_code == 2
         assert "t_final must be finite" in result.output
 
+    def test_decomposition_figure_is_a_seeded_ratio(self, runner):
+        # local-iii has entries whose standard error is exactly 0; the worst
+        # |diff| / tol still reads the noisy ones, so it moves with the seed
+        figures = []
+        for seed in ("7", "8"):
+            result = runner.invoke(main, ["verify", "--chi", "0.3", "--scheme", "local-iii",
+                                          "--seed", seed])
+            assert result.exit_code == 0, result.output
+            line = next(x for x in result.output.splitlines() if "covariance decomposition" in x)
+            figures.append(float(line.rsplit("= ", 1)[1]))
+        assert all(0 < f <= 1 for f in figures)
+        assert figures[0] != figures[1]
+
     def test_none_scheme(self, runner):
         result = runner.invoke(main, ["verify", "--chi", "0.2", "--scheme", "none",
                                       "--ntraj", "100", "--dt", "0.005",

@@ -227,21 +227,29 @@ class TestMeanRecursion:
         # does not grow with the number of trajectories. Nine blocks reach
         # the fixed point, and the two of them that reach into the kept window
         # also map their covariances one step each, in one call on the stack.
+        # The seven burn-in blocks map V to their end alone. The kept window
+        # opens at k_burn = 2000, 208 steps into the block at 1792, which maps
+        # steps 2000 to 2048 (49); the block at 2048 maps 2048 to 2304 (257),
+        # where the hold fires.
         p = NopoParams(0.3)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
-        calls = []
+        calls, lengths = [], []
 
         def counted(V, powers):
             calls.append(V.ndim)
+            if V.ndim == 2:
+                lengths.append(len(powers))
             return riccati_map(V, powers)
 
         monkeypatch.setattr("entlqg.trajectories.riccati_map", counted)
         for n_traj in (64, 512, 1000):
             calls.clear()
+            lengths.clear()
             cfg = SimConfig(dt=1e-2, t_final=40.0, n_traj=n_traj, seed=3)
             simulate_conditional(plant, u, gain, cfg, v0=open_loop_V(p))
             assert calls.count(2) == 9 and calls.count(3) == 2
+            assert lengths == [1] * 7 + [49, 257]
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_only_the_kept_window_draws(self, monkeypatch, moving):
