@@ -42,7 +42,10 @@ class SimConfig:
     start there, at t_b = ``_BURN_IN`` * t_final. The starts and Gaussian
     increments come from one SFC64 stream per row chunk, seeded by the
     SeedSequence spawn key (chunk,) of the master seed, so a run is
-    bit-identical for the same seed and ensemble size.
+    bit-identical for the same seed and ensemble size. A step draws one
+    normal per trajectory for each row of its noise factor: the rank r of
+    the increment while the covariance is held (at the optimal gains, r = 2
+    for heterodyne and 1 for local-iii), 2N while it moves.
     """
 
     dt: float = 1e-2
@@ -108,6 +111,27 @@ def _psd_root(M: np.ndarray) -> np.ndarray:
     return (E * np.sqrt(w)[..., None, :]) @ E.swapaxes(-1, -2)
 
 
+def _psd_factor(M: np.ndarray) -> np.ndarray:
+    """Rows F, r x n, with F^T F = M for a symmetric positive semidefinite M.
+
+    Cholesky with diagonal pivoting: each pivot is the first index whose
+    remaining diagonal is within a relative 1e-9 of the largest, so that
+    diagonals equal by symmetry keep their order under round-off, and the
+    factor stops once every remaining diagonal is below 1e-12 times the
+    largest diagonal of M. F is a function of M alone and moves continuously
+    with it, also where an eigenvalue is degenerate and an eigenbasis is not.
+    """
+    S = 0.5 * (M + M.T)
+    floor = 1e-12 * S.diagonal().max()
+    rows = []
+    while len(rows) < len(S) and not S.diagonal().max() <= floor:   # NaN: a NaN factor
+        d = S.diagonal()
+        p = int(np.argmax(d >= (1 - 1e-9) * d.max()))
+        rows.append(S[p] / np.sqrt(d[p]))
+        S = S - np.outer(rows[-1], rows[-1])
+    return np.array(rows).reshape(-1, len(M))
+
+
 def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                          cfg: SimConfig, v0: CovarianceMatrix) -> TrajectoryStats:
     """Simulate the conditional moments under continuous measurement and feedback.
@@ -129,10 +153,16 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. Their law at step k is N(0, Z_k), so they
-    take the exact step X <- Phi X + R_k xi, Phi = e^{A_cl dt}, at any dt,
-    with xi 2N standard normals and R_k the principal root of
-    Q_k = Z_{k+1} - Phi Z_k Phi^T; only the kept window is stepped, from a
-    start drawn in N(0, Z) at t_b = ``_BURN_IN`` * t_final. Held, Z is the
+    take the exact step X <- Phi X + xi R_k, Phi = e^{A_cl dt}, at any dt,
+    with R_k^T R_k = Q_k = Z_{k+1} - Phi Z_k Phi^T and xi one standard normal
+    per row of R_k; only the kept window is stepped, from a start drawn in
+    N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. A
+    held step's R is ``_psd_factor(Q)``, a pivoted Cholesky factor with r
+    rows, r the rank of Q (2 for heterodyne and 1 for local-iii at their
+    optimal gains, against 2N = 4), canonical and continuous in Q. A moving
+    step's R_k is the principal root of Q_k, 2N rows: the small directions
+    of a moving Q_k are round-off (below), and a pivoted factor of them would
+    not match an independent reference's draws. Held, Z is the
     stationary law lyapunov_steady(A_cl, K K^T) = V_pred - W, which keeps Q
     accurate relative to its size when K is only round-off. From a moving
     start (means zero at t = 0), Z = V_unc - V_c, as the unconditional state
@@ -144,7 +174,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     max in round-off, large relative to Q_k ~ dt |K|^2 where dt or K is small
     or chi nears threshold (6e-8 held at dt 1e-3 for local-iv at chi 0.4999).
     Even row chunks of up to ``_ROWS`` trajectories each draw from one SFC64
-    stream, seeded by a SeedSequence spawn key: the (rows, 2N) start normals, then
+    stream, seeded by a SeedSequence spawn key: the start normals, then
     time-major increments in ``_BLOCK``-step blocks, bit-identical to one draw
     over the window, and nothing when the covariance is held and K is exactly
     zero, which leaves every aggregate exactly zero. A run is bit-identical for
@@ -167,10 +197,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     V = v0.data
     Phi = _expm(dt * A_cl)
 
-    def hold(V):   # K, the means' stationary law Z and the root of their step
+    def hold(V):   # K, the means' stationary law Z and the factor of their step
         K = V @ C.T + Gamma.T + BF
         Z = lyapunov_steady(A_cl, K @ K.T).data
-        return K, Z, _psd_root(Z - Phi @ Z @ Phi.T)
+        return K, Z, _psd_factor(Z - Phi @ Z @ Phi.T)
 
     moving = not riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL
     if moving:
@@ -210,15 +240,15 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         if skip < b:   # the block reaches into the kept window
             if start <= k_burn:   # which opens here: draw the start in N(0, Z(t_b))
                 Z_b = Z if held_start else V_unc_b - (Vs[0] if moving else V)
-                root = _psd_root(Z_b)
+                F_b = _psd_factor(Z_b)
                 for rng, lo, hi in chunks:
-                    X_all[lo:hi] = rng.standard_normal((hi - lo, n)) @ root
+                    X_all[lo:hi] = rng.standard_normal((hi - lo, len(F_b))) @ F_b
             if moving:   # V_c,k+1 by one step from V_c,k: no path round-off in Q_k
                 Vk = Vs[:-1]
                 R = _psd_root(Q_pred + Phi @ Vk @ Phit - riccati_map(Vk, H))
             for rng, lo, hi in chunks:
                 # Time-major noise terms, overwritten in place by the states.
-                F = np.matmul(rng.standard_normal((b - skip, hi - lo, n)), R)
+                F = np.matmul(rng.standard_normal((b - skip, hi - lo, R.shape[-2])), R)
                 X, step = X_all[lo:hi], np.empty((hi - lo, n))
                 for f in F:
                     np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit

@@ -10,7 +10,7 @@ import numpy as np
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, SchemeId,
                     diffusion_matrix, drift_matrix, lyapunov_steady, measurement_model,
                     optimal_nonlocal_alpha_beta, riccati_rhs, symplectic_form)
-from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng
+from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng, _psd_factor
 from entlqg.unravelling import riccati_propagator
 
 CHI_GRID = np.round(np.linspace(0.05, 0.45, 9), 10)
@@ -229,9 +229,12 @@ def exact_reference(plant, u, gain, cfg, v0, hold_at=None):
     reaches from (V_k, 0) over dt, not the closed-loop identity the simulator
     uses. The means start at the end of the burn-in: for a held start
     (``hold_at = 0``) in the chain's stationary law (Smith doubling), else in the
-    law RK4 reaches from (v0, 0). Then X <- e^{A_cl dt} X + R_k xi, R_k the root
-    of Q_k. All trajectories fit in one row chunk, so every draw comes from chunk
-    0's stream, time-major. Returns the time-averaged outer products of the means
+    law RK4 reaches from (v0, 0). Then X <- e^{A_cl dt} X + xi R_k, R_k the root
+    of Q_k (2N normals) while the covariance moves. The start and each held
+    step draw r normals through the simulator's ``_psd_factor`` of the
+    reference's own Z and Q_k: a deterministic map, as the stream convention is.
+    All trajectories fit in one row chunk, so every draw comes from chunk 0's
+    stream, time-major. Returns the time-averaged outer products of the means
     and the final covariance.
     """
     assert cfg.n_traj <= _ROWS
@@ -258,15 +261,16 @@ def exact_reference(plant, u, gain, cfg, v0, hold_at=None):
         if k < hold_at:
             V = lf_map(V)
     rng = _chunk_rng(cfg.seed, 0)
-    X = rng.normal(size=(cfg.n_traj, n)) @ _root(Z)
-    noise = rng.normal(size=(n_steps - k_burn, cfg.n_traj, n))
+    F = _psd_factor(Z)
+    X = rng.normal(size=(cfg.n_traj, len(F))) @ F
     SXX = np.zeros((cfg.n_traj, n, n))
     for k in range(k_burn, n_steps):
         if k < hold_at or k == max(k_burn, hold_at):
-            R = _root(_rk4_moment(moving if k < hold_at else held, V, np.zeros((n, n)), dt))
+            Q = _rk4_moment(moving if k < hold_at else held, V, np.zeros((n, n)), dt)
+            R = _root(Q) if k < hold_at else _psd_factor(Q)
         if k < hold_at:
             V = lf_map(V)
-        X = X @ Phi_cl.T + noise[k - k_burn] @ R
+        X = X @ Phi_cl.T + rng.normal(size=(cfg.n_traj, len(R))) @ R
         SXX += np.einsum("ci,cj->cij", X, X)
     return SXX / (n_steps - k_burn), V
 

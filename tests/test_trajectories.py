@@ -14,7 +14,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, CovarianceMatrix, FeedbackG
                     scheme_realization, simulate_conditional)
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import _expm
-from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng
+from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _psd_factor
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_rel_residual
 from oracles import (exact_mean_outer_se, exact_reference, expm_by_eig, increment_by_eig,
                      means_rhs, rk4_step)
@@ -251,10 +251,15 @@ class TestMeanRecursion:
             assert calls.count(2) == 9 and calls.count(3) == 2
             assert lengths == [1] * 7 + [49, 257]
 
-    @pytest.mark.parametrize("moving", [False, True])
-    def test_only_the_kept_window_draws(self, monkeypatch, moving):
-        # held or moving, the means draw their start at the end of the
-        # burn-in and 2N normals a trajectory for each kept step, nothing before
+    @pytest.mark.parametrize("scheme, moving, rank", [
+        (None, False, 4), (None, True, 4),
+        (SchemeId.HETERODYNE, False, 2), (SchemeId.LOCAL_III, False, 1)])
+    def test_only_the_kept_window_draws(self, monkeypatch, scheme, moving, rank):
+        # held or moving, the means draw their start at the end of the burn-in
+        # and then, a trajectory, one normal for each kept step and each row
+        # of its noise factor, nothing before: 2N rows while the covariance
+        # moves, and the rank of the increment once it is held, 2N at zero
+        # gain but 2 for heterodyne and 1 for local-iii at their optimal gains
         drawn = []
 
         class Counting:
@@ -269,11 +274,16 @@ class TestMeanRecursion:
                             lambda seed, chunk: Counting(_chunk_rng(seed, chunk)))
         p = NopoParams(0.25)
         cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=300, seed=2)
-        v0 = open_loop_V(p) if moving else conditional_V(p, SchemeId.HETERODYNE)
-        stats = simulate_conditional(build_plant(p), HETERODYNE, ZERO_GAIN, cfg, v0=v0)
+        if scheme is None:
+            u, gain, W = HETERODYNE, ZERO_GAIN, conditional_V(p, SchemeId.HETERODYNE)
+        else:
+            u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+            W = conditional_V(p, scheme)
+        v0 = open_loop_V(p) if moving else W
+        stats = simulate_conditional(build_plant(p), u, gain, cfg, v0=v0)
         assert np.array_equal(stats.v_c_final.data, v0.data) != moving
         k_burn = int(_BURN_IN * cfg.n_steps)
-        assert sum(drawn) == (cfg.n_steps - k_burn + 1) * cfg.n_traj * 4
+        assert sum(drawn) == (cfg.n_steps - k_burn + 1) * cfg.n_traj * rank
 
     def test_zero_noise_coefficient_draws_nothing(self, monkeypatch):
         # The nonlocal gain is built from the closed-form W, so started there
@@ -347,6 +357,38 @@ class TestExactHeldChain:
             Phi = _expm(dt * A_cl)
             assert np.max(np.abs(Z - Phi @ Z @ Phi.T - Q)) <= 1e-11 * np.max(np.abs(Z))
 
+    @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45, 0.4999, CHI_MAX])
+    @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
+                                        SchemeId.LOCAL_IV])
+    def test_increment_factor_has_its_rank(self, scheme, chi):
+        # The held step draws one normal per row of _psd_factor(Q), Q = Z -
+        # Phi Z Phi^T: as many rows as the increment integral has eigenvalues
+        # above the relative 1e-12 clip. One within a decade of the clip may
+        # fall on either side: heterodyne at chi 0.05 has two at 2.1e-13 and
+        # local-iii at CHI_MAX one at 1.00007e-12, both left out. The
+        # dropped directions are below the clip, so F^T F misses Q by less
+        # than 1e-12 max|Q| (measured <= 8.3e-13, heterodyne at chi 0.05).
+        p = NopoParams(chi)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        meas = measurement_model(plant, u)
+        A_cl = drift_matrix(plant) + gain.BF @ meas.C
+        K = conditional_V(p, scheme).data @ meas.C.T + meas.Gamma.T + gain.BF
+        Z = lyapunov_steady(A_cl, K @ K.T).data
+        for dt in (1e-3, 0.5):
+            Phi = _expm(dt * A_cl)
+            Q = Z - Phi @ Z @ Phi.T
+            F = _psd_factor(Q)
+            w = np.linalg.eigvalsh(increment_by_eig(A_cl, K, dt))
+            assert np.sum(w > 1e-11 * w.max()) <= len(F) <= np.sum(w > 1e-13 * w.max())
+            assert np.max(np.abs(F.T @ F - Q)) <= 1e-12 * np.max(np.abs(Q))
+            if scheme is SchemeId.HETERODYNE:
+                # Q has a doubly degenerate eigenvalue, in whose eigenspace an
+                # eigh factor turns freely (by 2.0 of max|F| at chi 0.45, dt
+                # 0.5); the pivoted factor scales with Q, as sqrt(1 + 1e-14)
+                F_up = _psd_factor(Q * (1 + 1e-14))
+                assert np.max(np.abs(F_up - F)) <= 1e-13 * np.max(np.abs(F))
+
     @pytest.mark.parametrize("dt", [0.5, 1e-2])
     def test_held_heterodyne_run_matches_v_pred(self, dt):
         # exact at a coarse step as at a fine one: no bias to budget for
@@ -371,7 +413,11 @@ class TestExactStandardError:
     def test_verify_default_step_keeps_the_standard_error(self, scheme, chi):
         # The held chain is exact at any dt, which only sets how finely the
         # kept window is sampled: at verify's default step the exact SE is
-        # that of dt = 0.1, and the simulator's estimate matches it.
+        # that of dt = 0.1, and the simulator's estimate matches it. The
+        # estimate of the largest entry's SE spreads as 1/sqrt(n_traj) and
+        # is biased upward by the max; at 4000 trajectories it stays within
+        # 10 % on every seed in 0-39 (at 1000, 8 of them failed).
+        n_traj = 4000
         defaults = {o.name: o.default for o in main.commands["verify"].params}
         dt, horizon = defaults["dt"], defaults["horizon"]
         p = NopoParams(chi)
@@ -381,10 +427,10 @@ class TestExactStandardError:
         A_cl = drift_matrix(plant) + gain.BF @ meas.C
         W = conditional_V(p, scheme)
         K = W.data @ meas.C.T + meas.Gamma.T + gain.BF
-        exact = exact_mean_outer_se(A_cl, K, dt, horizon, 1000).max()
-        fine = exact_mean_outer_se(A_cl, K, 0.1, horizon, 1000).max()
+        exact = exact_mean_outer_se(A_cl, K, dt, horizon, n_traj).max()
+        fine = exact_mean_outer_se(A_cl, K, 0.1, horizon, n_traj).max()
         assert abs(exact / fine - 1) <= 0.02
-        cfg = SimConfig(dt=dt, t_final=horizon, n_traj=1000, seed=7)
+        cfg = SimConfig(dt=dt, t_final=horizon, n_traj=n_traj, seed=7)
         stats = simulate_conditional(plant, u, gain, cfg, v0=W)
         assert abs(stats.mean_outer_sem().max() / exact - 1) <= 0.1
 
