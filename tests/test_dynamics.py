@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entlqg import (NoStableSolutionError, NopoParams, PlantModel, build_plant,
-                    diffusion_matrix, drift_matrix, is_hurwitz, lyapunov_steady, open_loop_V)
+                    diffusion_matrix, drift_matrix, is_hurwitz, lyapunov_steady)
 
 
 def nopo_drift(chi):
@@ -103,13 +103,6 @@ class TestLyapunovSteady:
     def test_unstable_drift_rejected(self):
         with pytest.raises(NoStableSolutionError):
             lyapunov_steady(nopo_drift(0.5), np.eye(4) / 2)
-
-    def test_open_loop_closed_form_matches_solver(self):
-        for chi in np.linspace(0.0, 0.45, 20):
-            p = NopoParams(chi)
-            plant = build_plant(p)
-            V = lyapunov_steady(drift_matrix(plant), diffusion_matrix(plant))
-            assert np.max(np.abs(V.data - open_loop_V(p).data)) <= 1e-10
 
 
 class TestPlantModel:

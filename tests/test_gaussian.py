@@ -128,9 +128,6 @@ class TestVonNeumannEntropy:
     def test_vacuum_pure(self):
         assert von_neumann_entropy(CovarianceMatrix(np.eye(4) / 2)) == 0.0
 
-    def test_optimal_conditional_state_pure(self):
-        assert von_neumann_entropy(symmetric_family_W(0.625, 0.375)) <= 1e-8
-
     def test_open_loop_value(self):
         V = CovarianceMatrix(open_loop_matrix(0.25))
         nu = 1 / np.sqrt(3)

@@ -25,3 +25,15 @@ def test_no_test_helper_is_defined_twice():
                 if not name.startswith(("test_", "Test")):
                     homes[name].append(path.name)
     assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+
+
+def test_no_test_body_is_written_twice():
+    # two tests with one body check one behaviour; the docstring does not count
+    owners = defaultdict(list)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                body = node.body[1:] if ast.get_docstring(node) else node.body
+                owners[ast.dump(ast.Module(body=body, type_ignores=[]))].append(
+                    f"{path.name}::{node.name}")
+    assert [names for names in owners.values() if len(names) > 1] == []
