@@ -37,6 +37,9 @@ CSV_COLUMNS = ("chi", "scheme", "param_name", "param_value",
 # errors collapse to zero.
 MC_FLOOR = 1e-9
 
+# Every click.echo below names its stream: click otherwise keeps each distinct
+# sys.stdout it meets alive, and with it the output of every redirected call.
+
 
 def fmt12(x: float) -> str:
     """Serialize a number with 12 significant digits."""
@@ -127,7 +130,7 @@ def model(chi: float, fmt: str):
             "S_bits": S,
             "epr_variance": epr,
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2), file=sys.stdout)
         return
     lines = [f"two-mode parametric oscillator, chi = {fmt12(chi)} (linewidth units)"]
     lines += _matrix_lines("G (Hamiltonian matrix)", plant.G)
@@ -140,7 +143,7 @@ def model(chi: float, fmt: str):
     lines.append(f"von Neumann entropy S = {fmt12(S)} bits")
     lines.append(f"EPR variance <(x1(t)+x2(pi-t))^2> = {fmt12(epr)} (vacuum level 1, "
                  "independent of t)")
-    click.echo("\n".join(lines))
+    click.echo("\n".join(lines), file=sys.stdout)
 
 
 @main.command()
@@ -183,15 +186,15 @@ def curves(chi_min: float, chi_max: float, steps: int, schemes: str, fmt: str,
                           indent=2) + "\n"
 
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
         return
     try:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
+        click.echo(f"error: cannot write {out}: {exc}", file=sys.stderr)
         sys.exit(3)
-    click.echo(f"wrote {len(rows)} rows to {out}")
+    click.echo(f"wrote {len(rows)} rows to {out}", file=sys.stdout)
 
 
 @main.command()
@@ -210,18 +213,18 @@ def optimize(chi: float, scheme: SchemeId, fmt: str):
     if fmt == "json":
         doc = {"meta": _json_meta("optimize", {"chi": chi, "scheme": scheme.value}),
                "result": rec | {"params": result.params, "stability_margin": margin}}
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2), file=sys.stdout)
         return
-    click.echo(f"scheme = {scheme.value}   chi = {fmt12(chi)}")
+    click.echo(f"scheme = {scheme.value}   chi = {fmt12(chi)}", file=sys.stdout)
     for name, value in (result.params or {"(no parameter)": 0.0}).items():
-        click.echo(f"  {name} = {fmt12(value)}")
-    click.echo(f"  L = {fmt12(result.L)} bits")
-    click.echo(f"  S = {fmt12(result.S)} bits")
-    click.echo(f"  m = {fmt12(result.m)} (quadratic cost, vacuum level 1)")
-    click.echo(f"  closed-loop stability margin = {fmt12(margin)}")
+        click.echo(f"  {name} = {fmt12(value)}", file=sys.stdout)
+    click.echo(f"  L = {fmt12(result.L)} bits", file=sys.stdout)
+    click.echo(f"  S = {fmt12(result.S)} bits", file=sys.stdout)
+    click.echo(f"  m = {fmt12(result.m)} (quadratic cost, vacuum level 1)", file=sys.stdout)
+    click.echo(f"  closed-loop stability margin = {fmt12(margin)}", file=sys.stdout)
     if result.at_boundary:
         click.echo("  note: supremum at the stability-window edge; value reported "
-                   "just inside the window")
+                   "just inside the window", file=sys.stdout)
 
 
 def _check(label: str, ok: bool, detail: str, lines: list[str]) -> bool:
@@ -270,7 +273,7 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
     try:
         stats = simulate_conditional(plant, u, gain, cfg, v0=W)
     except TrajectoryDivergenceError as exc:
-        click.echo(f"error: {exc} (trajectory {exc.trajectory})", err=True)
+        click.echo(f"error: {exc} (trajectory {exc.trajectory})", file=sys.stderr)
         sys.exit(4)
 
     lines = [f"scheme={scheme.value} chi={fmt12(chi)} ntraj={ntraj} dt={fmt12(dt)} "
@@ -309,7 +312,7 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
                      f"(tol {tol_cost:.3e})", lines)
 
     lines.append("all checks passed" if ok else "some checks FAILED")
-    click.echo("\n".join(lines))
+    click.echo("\n".join(lines), file=sys.stdout)
     if not ok:
         sys.exit(1)
 
@@ -350,7 +353,7 @@ def recover(chi: float):
     try:
         u, residual = recover_unravelling(best.V, plant)
     except (RecoveryError, InvalidUnravellingError) as exc:
-        click.echo(f"error: recovery failed: {exc}", err=True)
+        click.echo(f"error: recovery failed: {exc}", file=sys.stderr)
         sys.exit(5)
     meas = measurement_model(plant, u)
     lines = [f"optimal conditional covariance at chi = {fmt12(chi)}: "
@@ -362,14 +365,14 @@ def recover(chi: float):
     lines.append("measured quadratures (rows of C):")
     for k, row in enumerate(meas.C):
         lines.append(f"  row {k + 1}: {_label_row(row)}")
-    click.echo("\n".join(lines))
+    click.echo("\n".join(lines), file=sys.stdout)
 
 
 def run():  # console-script entry point
     try:
         main(standalone_mode=True)
     except EntlqgError as exc:  # pragma: no cover - top-level safety net
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

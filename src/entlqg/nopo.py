@@ -6,8 +6,8 @@ instability threshold. This module builds the plant and alone knows its
 schemes: their measurements, gains and stability windows, with one table
 (``_SCALAR_SCHEMES``) for the scalar ones. It gives closed forms for the
 stationary covariances of every scheme and for the conditional covariance
-each measurement leaves (``conditional_V``), optimizes each scheme's scalar
-parameter, and generates entanglement/entropy curves.
+each measurement leaves (``conditional_V``), takes heterodyne's optimum in closed
+form, scans the four local schemes' gains, and tabulates entanglement/entropy curves.
 
 Every stationary state here has the symmetric two-block pattern
 V = [[gq,0,sq,0],[0,gp,0,sp],[sq,0,gq,0],[0,sp,0,gp]] and is written by its
@@ -257,8 +257,12 @@ def heterodyne_closed_form_V(p: NopoParams, mu: float) -> CovarianceMatrix:
 
 
 def heterodyne_optimal_mu(chi: float) -> float:
-    """Closed-form optimal heterodyne feedback strength."""
-    return 0.5 * (-1.0 - 2.0 * chi + np.sqrt(1.0 + 4.0 * chi**2))
+    """Optimal heterodyne feedback strength: the larger root of mu^2 + (1 + 2chi) mu + chi.
+
+    Written as -2chi / (1 + 2chi + sqrt(1 + 4chi^2)), which does not cancel at
+    small chi; ``0.0 -`` makes chi = 0 give 0, not -0.
+    """
+    return 0.0 - 2.0 * chi / (1.0 + 2.0 * chi + np.sqrt(1.0 + 4.0 * chi**2))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -281,41 +285,25 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 #: Each scalar scheme: its family, the family's gain arguments g(x) for its
-#: parameter x, and its scan window for x given the family's bounds b.
+#: parameter x, and its scan window given the bounds b (None: closed-form optimum).
 _SCALAR_SCHEMES = {
     SchemeId.LOCAL_I: (_HOMODYNE, lambda x: (x, x), lambda b: (SCAN_LO, b[0])),
     SchemeId.LOCAL_II: (_HOMODYNE, lambda x: (x, 0.0), lambda b: (SCAN_LO, b[0])),
     SchemeId.LOCAL_III: (_HOMODYNE, lambda x: (0.0, x), lambda b: (SCAN_LO, b[1])),
     SchemeId.LOCAL_IV: (_HOMODYNE, lambda x: (x, -x), lambda b: (-b[1], b[0])),
-    SchemeId.HETERODYNE: (_HETERODYNE, lambda x: (x,), lambda b: b),
+    SchemeId.HETERODYNE: (_HETERODYNE, lambda x: (x,), None),
 }
 
 
-def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
-    """Maximize the entanglement of a scheme over its scalar parameter.
+def _scan_max(objective, lo: float, hi: float) -> tuple[float, bool]:
+    """Maximizer of objective on the window (lo, hi), and whether it sits on the edge.
 
-    A 200-point scan over the stability window locates the best interior
-    local maximum, which golden-section search refines to 1e-9. If the scan
-    maximum sits on the window edge with no interior maximum above it, the
-    supremum is not attained; the result carries ``at_boundary=True`` and
-    reports the value just inside the window. Whenever zero feedback
-    attains the maximum within tolerance the parameter is reported as
-    exactly 0 (flat objectives).
+    A 200-point scan locates the best interior local maximum, which
+    golden-section search refines to 1e-9. A supremum on the window edge is
+    not attained, so the point just inside is returned with True. Where zero
+    attains the maximum within tolerance, x is exactly 0 (flat objectives).
     """
-    if scheme is SchemeId.NONE:
-        V = open_loop_V(p)
-        return SchemeResult(scheme=scheme, chi=p.chi, params={}, V=V,
-                            L=log_negativity(V), S=von_neumann_entropy(V),
-                            m=float(np.trace(cost_matrix() @ V.data)))
-    if scheme is SchemeId.NONLOCAL:
-        return optimal_nonlocal(p)
-
-    family, gains, window = _SCALAR_SCHEMES[scheme]
-    lo, hi = window(family.bounds(p.chi))
     lo, hi = lo + EDGE_MARGIN, hi - EDGE_MARGIN
-    build = lambda x: family.V(p, *gains(x))
-    objective = lambda x: log_negativity(build(x))
-
     xs = np.linspace(lo, hi, SCAN_POINTS)
     Ls = np.array([objective(x) for x in xs])
     interior = [k for k in range(1, SCAN_POINTS - 1)
@@ -332,14 +320,37 @@ def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
         k = int(np.argmax(Ls))
         x_star, L_star, at_boundary = xs[k], Ls[k], True
 
-    if lo < 0.0 < hi:
-        L_zero = objective(0.0)
-        if L_zero >= L_star - ZERO_SNAP_TOL * (1.0 + abs(L_star)):
-            x_star, L_star, at_boundary = 0.0, L_zero, False
+    if lo < 0.0 < hi and objective(0.0) >= L_star - ZERO_SNAP_TOL * (1.0 + abs(L_star)):
+        return 0.0, False
+    return x_star, at_boundary
 
+
+def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
+    """Maximize the entanglement of a scheme over its scalar parameter.
+
+    Heterodyne takes its optimum in closed form (``heterodyne_optimal_mu``);
+    the four local schemes are scanned over their stability windows
+    (``_scan_max``), and carry ``at_boundary=True`` where the supremum is
+    not attained.
+    """
+    if scheme is SchemeId.NONE:
+        V = open_loop_V(p)
+        return SchemeResult(scheme=scheme, chi=p.chi, params={}, V=V,
+                            L=log_negativity(V), S=von_neumann_entropy(V),
+                            m=float(np.trace(cost_matrix() @ V.data)))
+    if scheme is SchemeId.NONLOCAL:
+        return optimal_nonlocal(p)
+
+    family, gains, window = _SCALAR_SCHEMES[scheme]
+    build = lambda x: family.V(p, *gains(x))
+    if window is None:
+        x_star, at_boundary = heterodyne_optimal_mu(p.chi), False
+    else:
+        x_star, at_boundary = _scan_max(lambda x: log_negativity(build(x)),
+                                        *window(family.bounds(p.chi)))
     V = build(x_star)
     return SchemeResult(scheme=scheme, chi=p.chi, params={family.param: float(x_star)},
-                        V=V, L=L_star, S=von_neumann_entropy(V),
+                        V=V, L=log_negativity(V), S=von_neumann_entropy(V),
                         m=float(np.trace(cost_matrix() @ V.data)),
                         at_boundary=at_boundary)
 

@@ -7,9 +7,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, SchemeId,
-                    diffusion_matrix, drift_matrix, lyapunov_steady, measurement_model,
-                    optimal_nonlocal_alpha_beta, riccati_rhs, symplectic_form)
+from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams, SchemeId,
+                    diffusion_matrix, drift_matrix, heterodyne_closed_form_V, log_negativity,
+                    lyapunov_steady, measurement_model, optimal_nonlocal_alpha_beta,
+                    riccati_rhs, symplectic_form)
 from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng, _psd_factor
 from entlqg.unravelling import riccati_propagator
 
@@ -77,6 +78,26 @@ def grid_minimizer(chi, grid=400):
         a_lo, a_hi = best[1] - 2 * da, best[1] + 2 * da
         b_lo, b_hi = best[2] - 2 * db, best[2] + 2 * db
     return best[1], best[2]
+
+
+def grid_maximizer(chi, points=4001, rounds=8):
+    """Checks heterodyne_optimal_mu: max of L(heterodyne_closed_form_V) on a grid, no root."""
+    # The grid spans the open stability window -1/2 - chi < mu < 1/2 - chi
+    # without its edges, and is refined around its best point, each round over
+    # +-2 spacings of the last. Returns (mu, L).
+    p = NopoParams(chi)
+    lo, hi = -0.5 - chi, 0.5 - chi
+    best = (-np.inf, None)
+    for _ in range(rounds):
+        mus = np.linspace(lo, hi, points)[1:-1]
+        Ls = [log_negativity(heterodyne_closed_form_V(p, mu)) for mu in mus]
+        k = int(np.argmax(Ls))
+        if Ls[k] > best[0]:
+            best = (Ls[k], float(mus[k]))
+        step = mus[1] - mus[0]
+        lo, hi = max(lo, best[1] - 2 * step), min(hi, best[1] + 2 * step)
+        points = 41
+    return best[1], best[0]
 
 
 def expanded_homodyne_V(chi, lp, lm):

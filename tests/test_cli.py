@@ -1,12 +1,17 @@
+import contextlib
+import gc
+import io
 import json
+import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from entlqg import SchemeId
-from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main
+from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main, run
 from oracles import DOMAIN_CHIS
 
 
@@ -299,3 +304,24 @@ class TestDomainSweep:
                 run(["verify", "--chi", chi, "--scheme", scheme, "--ntraj", "16"])
         assert failed == []
         assert time.perf_counter() - start <= self.WALL_BOUND_S
+
+
+class TestInProcessRuns:
+    @pytest.mark.parametrize("args", [
+        ["verify", "--chi", "0.3", "--ntraj", "16", "--horizon", "2"],
+        ["optimize", "--chi", "0.3", "--scheme", "heterodyne"]], ids=["verify", "optimize"])
+    def test_redirected_stdout_is_released(self, monkeypatch, args):
+        # A caller that runs the console entry point in process with stdout
+        # redirected to a fresh stream each time must not find the streams
+        # kept alive after the calls.
+        streams = []
+        for _ in range(5):
+            out = io.StringIO()
+            monkeypatch.setattr(sys, "argv", ["entlqg", *args])
+            with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stdout(out):
+                run()
+            assert exit_info.value.code == 0 and "\n" in out.getvalue()
+            streams.append(weakref.ref(out))
+            del out, exit_info
+        gc.collect()
+        assert [ref() for ref in streams] == [None] * 5

@@ -7,16 +7,17 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
                     SchemeId, StabilityError, build_plant, closed_loop,
                     closed_loop_for_scheme, conditional_V, cost_matrix, diffusion_matrix,
                     drift_matrix, epr_variance, heterodyne_closed_form_V, heterodyne_gain,
-                    heterodyne_optimal_mu, homodyne_closed_form_V, homodyne_gain,
-                    lmi_feasible, log_negativity, lyapunov_steady, measurement_model,
-                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                    heterodyne_optimal_mu, heterodyne_stable, homodyne_closed_form_V,
+                    homodyne_gain, lmi_feasible, log_negativity, lyapunov_steady,
+                    measurement_model, open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
                     optimize_scheme, recover_unravelling, riccati_steady, scheme_curves,
                     scheme_realization, symmetric_family_W, von_neumann_entropy)
 from entlqg.dynamics import HURWITZ_TOL
 from entlqg.nopo import EDGE_MARGIN
 from entlqg.unravelling import filter_gap, riccati_rel_residual
 from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
-                     expanded_homodyne_V, grid_minimizer, relative_error_to_exact)
+                     expanded_homodyne_V, grid_maximizer, grid_minimizer,
+                     relative_error_to_exact)
 
 THRESHOLD_CHIS = (0.1, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
 
@@ -265,6 +266,29 @@ class TestHeterodyneClosedForm:
     def test_unstable_mu_rejected(self):
         with pytest.raises(StabilityError):
             heterodyne_closed_form_V(NopoParams(0.25), 0.3)
+
+    @pytest.mark.parametrize("chi", sorted({1e-12, 1e-9, 1e-6} | set(DOMAIN_CHIS)))
+    def test_optimal_mu_solves_its_quadratic(self, chi):
+        # mu* is the root of mu^2 + (1 + 2chi) mu + chi inside the window,
+        # here evaluated exactly on the float mu; a form that cancels misses
+        # it at small chi.
+        mu = heterodyne_optimal_mu(chi)
+        c = Fraction(chi)
+        residual = Fraction(mu)**2 + (1 + 2 * c) * Fraction(mu) + c
+        assert abs(residual) <= 4 * np.finfo(float).eps * max(chi, abs(mu))
+        assert heterodyne_stable(chi, mu)
+
+    @pytest.mark.parametrize("chi", sorted(set(CHI_GRID.tolist()) | set(DOMAIN_CHIS)))
+    def test_optimum_is_grid_optimum(self, chi):
+        r = optimize_scheme(NopoParams(chi), SchemeId.HETERODYNE)
+        mu_grid, L_grid = grid_maximizer(chi)
+        assert r.params["mu"] == heterodyne_optimal_mu(chi)
+        assert r.L >= L_grid - 1e-12 * max(1.0, r.L)
+        # L is flat to round-off within ~1e-8 of its peak, so the argmax is
+        # held to criterion 03's 1e-6. At chi = 0, L is 0 on the whole window
+        # and no mu is singled out.
+        if L_grid > 0:
+            assert abs(mu_grid - r.params["mu"]) <= 1e-6
 
 
 class TestOptimizeScheme:
