@@ -37,8 +37,13 @@ CSV_COLUMNS = ("chi", "scheme", "param_name", "param_value",
 # errors collapse to zero.
 MC_FLOOR = 1e-9
 
-# Every click.echo below names its stream: click otherwise keeps each distinct
-# sys.stdout it meets alive, and with it the output of every redirected call.
+
+def _print_info(ctx, param, value):
+    # sys.stdout by name, as in every click.echo here: click keeps an unnamed echo's stream alive.
+    if value and not ctx.resilient_parsing:
+        text = ctx.get_help() if param.name == "help" else f"entlqg, version {__version__}"
+        click.echo(text, color=ctx.color, file=sys.stdout)
+        ctx.exit()
 
 
 def fmt12(x: float) -> str:
@@ -94,7 +99,7 @@ def _record(result: SchemeResult) -> dict:
 
 
 @click.group()
-@click.version_option(__version__, prog_name="entlqg")
+@click.help_option("--version", callback=_print_info, help="Show the version and exit.")
 def main():
     """Steady-state LQG feedback control of a two-mode parametric oscillator.
 
@@ -366,6 +371,10 @@ def recover(chi: float):
     for k, row in enumerate(meas.C):
         lines.append(f"  row {k + 1}: {_label_row(row)}")
     click.echo("\n".join(lines), file=sys.stdout)
+
+
+for command in (main, *main.commands.values()):   # click caches its --help option (8.1.8+)
+    command.get_help_option(click.Context(command)).callback = _print_info
 
 
 def run():  # console-script entry point

@@ -153,9 +153,11 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. Their law at step k is N(0, Z_k), so they
-    take the exact step X <- Phi X + xi R_k, Phi = e^{A_cl dt}, at any dt,
+    take the exact step x <- Phi x + R_k^T xi, Phi = e^{A_cl dt}, at any dt,
     with R_k^T R_k = Q_k = Z_{k+1} - Phi Z_k Phi^T and xi one standard normal
-    per row of R_k; only the kept window is stepped, from a start drawn in
+    per row of R_k. A row chunk holds a block's states and normals in a slab,
+    Y[k] = [X_k; xi_k], and takes a step as the one product X_{k+1} =
+    [Phi | R_k^T] Y[k]; only the kept window is stepped, from a start drawn in
     N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. A
     held step's R is ``_psd_factor(Q)``, a pivoted Cholesky factor with r
     rows, r the rank of Q (2 for heterodyne and 1 for local-iii at their
@@ -197,10 +199,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     V = v0.data
     Phi = _expm(dt * A_cl)
 
-    def hold(V):   # K, the means' stationary law Z and the factor of their step
+    def hold(V):   # K, the means' stationary law Z and their step matrix [Phi | R^T]
         K = V @ C.T + Gamma.T + BF
         Z = lyapunov_steady(A_cl, K @ K.T).data
-        return K, Z, _psd_factor(Z - Phi @ Z @ Phi.T)
+        return K, Z, np.hstack((Phi, _psd_factor(Z - Phi @ Z @ Phi.T).T))
 
     moving = not riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL
     if moving:
@@ -217,7 +219,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         V_unc_b = V_pred + P @ (V - V_pred) @ P.T   # V_unc at t_b
         first = 0
     else:
-        K, Z, R = hold(V)
+        K, Z, M = hold(V)
         first = k_burn   # the burn-in would only carry the means to N(0, Z)
     held_start = not moving
 
@@ -230,7 +232,6 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     chunks = [(_chunk_rng(cfg.seed, c), *e) for c, e in enumerate(zip(edges, edges[1:]))]
     X_all = np.zeros((cfg.n_traj, n))
     sum_xx = np.zeros((cfg.n_traj, n, n))
-    Phit = Phi.T
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
         skip = max(0, k_burn - start)   # steps of this block before the kept window
@@ -245,25 +246,28 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                     X_all[lo:hi] = rng.standard_normal((hi - lo, len(F_b))) @ F_b
             if moving:   # V_c,k+1 by one step from V_c,k: no path round-off in Q_k
                 Vk = Vs[:-1]
-                R = _psd_root(Q_pred + Phi @ Vk @ Phit - riccati_map(Vk, H))
+                R = _psd_root(Q_pred + Phi @ Vk @ Phi.T - riccati_map(Vk, H))
+                M = np.concatenate((np.broadcast_to(Phi, Vk.shape), R.swapaxes(1, 2)), axis=2)
+            Ms = np.broadcast_to(M, (b - skip, *M.shape[-2:]))   # a held M repeats
             for rng, lo, hi in chunks:
-                # Time-major noise terms, overwritten in place by the states.
-                F = np.matmul(rng.standard_normal((b - skip, hi - lo, R.shape[-2])), R)
-                X, step = X_all[lo:hi], np.empty((hi - lo, n))
-                for f in F:
-                    np.dot(X, Phit, out=step)   # cheaper per call than X @ Phit
-                    f += step
-                    X = f
-                if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
-                    bad = lo + int(np.abs(X).max(axis=1).argmax())
+                # Y[k] = [X_k^T; xi_k^T], so each step is the one product M_k Y[k].
+                Y = np.empty((b - skip + 1, M.shape[-1], hi - lo))
+                Y[0, :n] = X_all[lo:hi].T
+                xi = rng.standard_normal((b - skip, hi - lo, M.shape[-1] - n))
+                Y[:-1, n:] = xi.transpose(0, 2, 1)
+                for Mk, y, x in zip(Ms, Y[:-1], Y[1:, :n]):
+                    np.dot(Mk, y, out=x)
+                X = Y[1:, :n]
+                if not np.abs(X[-1]).max() <= _DIVERGENCE_LIMIT:
+                    bad = lo + int(np.abs(X[-1]).max(axis=0).argmax())
                     raise TrajectoryDivergenceError(
                         f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
-                X_all[lo:hi] = X
-                sum_xx[lo:hi] += np.matmul(F.transpose(1, 2, 0), F.transpose(1, 0, 2))
+                X_all[lo:hi] = X[-1].T
+                sum_xx[lo:hi] += np.matmul(X.transpose(2, 1, 0), X.transpose(2, 0, 1))
         if moving and riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
             # The start rule, applied at the block's end: hold V from here.
             moving = False
-            *_, R = hold(V)
+            *_, M = hold(V)
     outer_by = sum_xx / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)

@@ -5,6 +5,7 @@ import json
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,7 +310,9 @@ class TestDomainSweep:
 class TestInProcessRuns:
     @pytest.mark.parametrize("args", [
         ["verify", "--chi", "0.3", "--ntraj", "16", "--horizon", "2"],
-        ["optimize", "--chi", "0.3", "--scheme", "heterodyne"]], ids=["verify", "optimize"])
+        ["optimize", "--chi", "0.3", "--scheme", "heterodyne"],
+        ["--help"], ["--version"], ["verify", "--help"]],
+        ids=["verify", "optimize", "help", "version", "verify-help"])
     def test_redirected_stdout_is_released(self, monkeypatch, args):
         # A caller that runs the console entry point in process with stdout
         # redirected to a fresh stream each time must not find the streams
@@ -325,3 +328,33 @@ class TestInProcessRuns:
             del out, exit_info
         gc.collect()
         assert [ref() for ref in streams] == [None] * 5
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenOutputs:
+    def test_outputs_match_golden_files(self, runner):
+        # The printed answers, byte for byte: the default curves CSV, optimize
+        # --chi 0.25 --format json for every scheme (without meta.version) and
+        # verify --chi 0.3 for the four schemes CI verifies. A change that moves
+        # a printed digit must explain it and rewrite the file it changes.
+        runs = {"curves.csv": ["curves"]}
+        for s in SchemeId:
+            runs[f"optimize-chi0.25-{s.value}.json"] = [
+                "optimize", "--chi", "0.25", "--scheme", s.value, "--format", "json"]
+        for s in ("nonlocal", "heterodyne", "local-iii", "local-iv"):
+            runs[f"verify-chi0.3-{s}.txt"] = ["verify", "--chi", "0.3", "--scheme", s]
+        assert sorted(runs) == sorted(p.name for p in GOLDEN.iterdir())
+        differ = []
+        for name, args in runs.items():
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (name, result.output)
+            text = result.stdout
+            if name.endswith(".json"):
+                doc = json.loads(text)
+                del doc["meta"]["version"]
+                text = json.dumps(doc, indent=2) + "\n"
+            if text.encode() != (GOLDEN / name).read_bytes():
+                differ.append(name)
+        assert differ == []
