@@ -12,6 +12,7 @@ which is what the statistics returned here verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -157,8 +158,9 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     with R_k^T R_k = Q_k = Z_{k+1} - Phi Z_k Phi^T and xi one standard normal
     per row of R_k. A row chunk holds a block's states and normals in a slab,
     Y[k] = [X_k; xi_k], and takes a step as the one product X_{k+1} =
-    [Phi | R_k^T] Y[k]; only the kept window is stepped, from a start drawn in
-    N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. A
+    [Phi | R_k^T] Y[k], a held block's through the bound ``dot`` of its one
+    constant [Phi | R^T]; only the kept window is stepped, from a start drawn
+    in N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. A
     held step's R is ``_psd_factor(Q)``, a pivoted Cholesky factor with r
     rows, r the rank of Q (2 for heterodyne and 1 for local-iii at their
     optimal gains, against 2N = 4), canonical and continuous in Q. A moving
@@ -248,15 +250,15 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                 Vk = Vs[:-1]
                 R = _psd_root(Q_pred + Phi @ Vk @ Phi.T - riccati_map(Vk, H))
                 M = np.concatenate((np.broadcast_to(Phi, Vk.shape), R.swapaxes(1, 2)), axis=2)
-            Ms = np.broadcast_to(M, (b - skip, *M.shape[-2:]))   # a held M repeats
             for rng, lo, hi in chunks:
                 # Y[k] = [X_k^T; xi_k^T], so each step is the one product M_k Y[k].
                 Y = np.empty((b - skip + 1, M.shape[-1], hi - lo))
                 Y[0, :n] = X_all[lo:hi].T
                 xi = rng.standard_normal((b - skip, hi - lo, M.shape[-1] - n))
                 Y[:-1, n:] = xi.transpose(0, 2, 1)
-                for Mk, y, x in zip(Ms, Y[:-1], Y[1:, :n]):
-                    np.dot(Mk, y, out=x)
+                dots = repeat(M.dot) if M.ndim == 2 else (Mk.dot for Mk in M)
+                for dot, y, x in zip(dots, Y[:-1], Y[1:, :n]):
+                    dot(y, out=x)
                 X = Y[1:, :n]
                 if not np.abs(X[-1]).max() <= _DIVERGENCE_LIMIT:
                     bad = lo + int(np.abs(X[-1]).max(axis=0).argmax())

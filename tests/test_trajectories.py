@@ -143,27 +143,30 @@ class TestConditionalCovariance:
 
 
 class TestMeanRecursion:
-    @pytest.mark.parametrize("scheme, transient", [
-        (SchemeId.LOCAL_III, False), (SchemeId.LOCAL_III, True), (SchemeId.HETERODYNE, False)],
-        ids=["False", "True", "heterodyne"])
-    def test_matches_per_step_exact_reference(self, scheme, transient):
+    @pytest.mark.parametrize("scheme, transient, t_final", [
+        (SchemeId.LOCAL_III, False, 6.0), (SchemeId.LOCAL_III, True, 6.0),
+        (SchemeId.HETERODYNE, False, 6.0), (SchemeId.HETERODYNE, False, 12.0)],
+        ids=["False", "True", "heterodyne", "heterodyne-three-blocks"])
+    def test_matches_per_step_exact_reference(self, scheme, transient, t_final):
         # 600 steps: from the open-loop state, two full covariance blocks and
         # a partial one, with the burn-in ending inside the second block, and
         # the reference steps the covariance one linear-fractional map at a
         # time; held, the 300 kept steps, one full block and a partial one.
+        # Over 1200 steps, the 600 kept steps are two full blocks and a partial
+        # one, so one held step matrix is reused across block boundaries.
         # The step matrix [Phi | R^T] has r = 1 (local-iii held), 2 (heterodyne
         # held) and 2N (moving) noise columns.
         p = NopoParams(0.25)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, scheme))
-        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
+        cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=7, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
         v0 = open_loop_V(p) if transient else conditional_V(p, scheme)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
         refs = exact_reference(plant, u, gain, cfg, v0, hold_at=None if transient else 0)
-        # measured: 3.0e-14 local-iii and 2.2e-14 heterodyne held, 4.2e-13
-        # moving, the simulator's own round-off
+        # measured: 3.0e-14 local-iii and 2.2e-14 heterodyne held (2.6e-14
+        # over 1200 steps), 4.2e-13 moving, the simulator's own round-off
         # (the reference moves by 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
