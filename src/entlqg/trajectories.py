@@ -160,7 +160,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     Y[k] = [X_k; xi_k], and takes a step as the one product X_{k+1} =
     [Phi | R_k^T] Y[k], a held block's through the bound ``dot`` of its one
     constant [Phi | R^T]; only the kept window is stepped, from a start drawn
-    in N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. A
+    in N(0, Z) at t_b = ``_BURN_IN`` * t_final through ``_psd_factor(Z)``. Each
+    block adds the upper triangle of its per-trajectory Gram sum_k X_k X_k^T
+    by n row products, row i from its diagonal on, and the triangle is
+    mirrored once at the end, so ``outer_by_traj`` is exactly symmetric. A
     held step's R is ``_psd_factor(Q)``, a pivoted Cholesky factor with r
     rows, r the rank of Q (2 for heterodyne and 1 for local-iii at their
     optimal gains, against 2N = 4), canonical and continuous in Q. A moving
@@ -233,7 +236,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
         edges = [0]   # no noise reaches the means: they stay exactly zero
     chunks = [(_chunk_rng(cfg.seed, c), *e) for c, e in enumerate(zip(edges, edges[1:]))]
     X_all = np.zeros((cfg.n_traj, n))
-    sum_xx = np.zeros((cfg.n_traj, n, n))
+    sum_xx = np.zeros((n, n, cfg.n_traj))   # sum_xx[i, j], j >= i: the Gram's upper triangle
     for start in range(first, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
         skip = max(0, k_burn - start)   # steps of this block before the kept window
@@ -265,12 +268,15 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                     raise TrajectoryDivergenceError(
                         f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
                 X_all[lo:hi] = X[-1].T
-                sum_xx[lo:hi] += np.matmul(X.transpose(2, 1, 0), X.transpose(2, 0, 1))
+                for i in range(n):   # row i of the block's Gram, from its diagonal on
+                    sum_xx[i, i:, lo:hi] += np.einsum("kjr,kr->jr", X[:, i:], X[:, i])
         if moving and riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
             # The start rule, applied at the block's end: hold V from here.
             moving = False
             *_, M = hold(V)
-    outer_by = sum_xx / (n_steps - k_burn)
+    for i in range(n):   # mirror the triangle once
+        sum_xx[i + 1:, i] = sum_xx[i, i + 1:]
+    outer_by = sum_xx.transpose(2, 0, 1) / (n_steps - k_burn)
 
     v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)

@@ -66,6 +66,9 @@ class TestDeterminism:
                         for k in (_ROWS, 2 * _ROWS))
         assert np.array_equal(small.outer_by_traj, large.outer_by_traj[:_ROWS])
         assert not np.array_equal(large.outer_by_traj[:_ROWS], large.outer_by_traj[_ROWS:])
+        # each chunk adds to its own columns of the Gram's upper triangle,
+        # mirrored once into an exactly symmetric outer product
+        assert np.array_equal(large.outer_by_traj, large.outer_by_traj.swapaxes(1, 2))
 
     def test_different_seed_differs(self):
         plant = build_plant(NopoParams(0.2))
@@ -165,11 +168,13 @@ class TestMeanRecursion:
         v0 = open_loop_V(p) if transient else conditional_V(p, scheme)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
         refs = exact_reference(plant, u, gain, cfg, v0, hold_at=None if transient else 0)
-        # measured: 3.0e-14 local-iii and 2.2e-14 heterodyne held (2.6e-14
+        # measured: 3.0e-14 local-iii and 2.1e-14 heterodyne held (2.6e-14
         # over 1200 steps), 4.2e-13 moving, the simulator's own round-off
         # (the reference moves by 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the Gram's upper triangle is mirrored, not summed twice
+        assert np.array_equal(stats.outer_by_traj, stats.outer_by_traj.swapaxes(1, 2))
 
     def test_local_iv_moving_run_within_verify_floor(self):
         # local-iv's noise coefficient is small, so its moving increment is
