@@ -148,6 +148,25 @@ def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return 0.5 * (Vs + Vs.swapaxes(-1, -2))
 
 
+def _relax(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
+           V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """Step V by ``riccati_map(V, Phi)`` until ``riccati_rel_residual`` <= RICCATI_REL_TOL.
+
+    A V that already meets the rule is returned as it is. Raises
+    NoStableSolutionError when the residual turns inf or NaN, or when
+    RICCATI_MAX_STEPS maps do not meet the rule.
+    """
+    for _ in range(RICCATI_MAX_STEPS):
+        rel = riccati_rel_residual(A, D, C, Gamma, V)
+        if rel <= RICCATI_REL_TOL:
+            return V
+        if not rel < np.inf:   # inf or NaN
+            raise NoStableSolutionError("Riccati relaxation diverged")
+        V = riccati_map(V, Phi)
+    raise NoStableSolutionError(
+        f"Riccati relaxation did not converge within {RICCATI_MAX_STEPS} steps")
+
+
 def riccati_steady(plant: PlantModel, u: Unravelling) -> CovarianceMatrix:
     """Stabilizing steady state of the conditional covariance equation.
 
@@ -163,20 +182,8 @@ def riccati_steady(plant: PlantModel, u: Unravelling) -> CovarianceMatrix:
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     C, Gamma = meas.C, meas.Gamma
-    V = lyapunov_steady(A, D).data
     Phi = riccati_propagator(A, D, C, Gamma, _RICCATI_DT)
-
-    for _ in range(RICCATI_MAX_STEPS):
-        rel = riccati_rel_residual(A, D, C, Gamma, V)
-        if rel <= RICCATI_REL_TOL:
-            break
-        if not rel < np.inf:   # inf or NaN
-            raise NoStableSolutionError("Riccati relaxation diverged")
-        V = riccati_map(V, Phi)
-    else:
-        raise NoStableSolutionError(
-            f"Riccati relaxation did not converge within {RICCATI_MAX_STEPS} steps")
-
+    V = _relax(A, D, C, Gamma, lyapunov_steady(A, D).data, Phi)
     gap = filter_gap(A, C, Gamma, V)
     if not gap < -HURWITZ_TOL:
         raise NoStableSolutionError(f"Riccati fixed point not stabilizing, gap {gap:.3e}")

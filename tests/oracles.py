@@ -12,7 +12,6 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
                     lyapunov_steady, measurement_model, optimal_nonlocal_alpha_beta,
                     riccati_rhs, symplectic_form)
 from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng, _psd_factor
-from entlqg.unravelling import riccati_propagator
 
 CHI_GRID = np.round(np.linspace(0.05, 0.45, 9), 10)
 # The whole accepted domain, with the threshold tail where V has entries ~1/(1-2chi).
@@ -213,13 +212,6 @@ def increment_by_eig(A_cl, K, dt):
     return (E @ (Einv @ K @ K.T @ Einv.T * np.expm1(s * dt) / s) @ E.T).real
 
 
-def _root(M):
-    # principal root, eigenvalues below a relative 1e-12 taken as zero
-    w, E = np.linalg.eigh(M)
-    w[w < 1e-12 * w.max()] = 0.0
-    return (E * np.sqrt(w)) @ E.T
-
-
 def means_rhs(A, D, meas, gain, held):
     """dV/dt = riccati_rhs(V) (zero when held) and dZ/dt = A_cl Z + Z A_cl^T + K K^T."""
     C, Gamma = meas.C, meas.Gamma
@@ -241,56 +233,33 @@ def _rk4_moment(rhs, V, Z, t):
     return S[1]
 
 
-def exact_reference(plant, u, gain, cfg, v0, hold_at=None):
+def exact_reference(plant, u, gain, cfg, v0):
     """Checks simulate_conditional's means: stepped on its own draws with increments from RK4.
 
-    The covariance takes one linear-fractional map a step from ``v0`` up to step
-    ``hold_at`` (by default the whole horizon) and is held from there. The
-    increment covariance Q_k is the Z that RK4 of the joint (V, Z) equations
-    reaches from (V_k, 0) over dt, not the closed-loop identity the simulator
-    uses. The means start at the end of the burn-in: for a held start
-    (``hold_at = 0``) in the chain's stationary law (Smith doubling), else in the
-    law RK4 reaches from (v0, 0). Then X <- e^{A_cl dt} X + xi R_k, R_k the root
-    of Q_k (2N normals) while the covariance moves. The start and each held
-    step draw r normals through the simulator's ``_psd_factor`` of the
-    reference's own Z and Q_k: a deterministic map, as the stream convention is.
-    All trajectories fit in one row chunk, so every draw comes from chunk 0's
-    stream, time-major. Returns the time-averaged outer products of the means
-    and the final covariance.
+    The covariance is held at ``v0``. The increment covariance Q is the Z
+    that RK4 of the joint (V, Z) equations reaches from (v0, 0) over dt, not
+    the closed-loop identity the simulator uses. The means start at the end
+    of the burn-in in the chain's stationary law (Smith doubling), then
+    X <- e^{A_cl dt} X + xi R. The start and each step draw r normals
+    through the simulator's ``_psd_factor`` of the reference's own Z and Q:
+    a deterministic map, as the stream convention is. All trajectories fit
+    in one row chunk, so every draw comes from chunk 0's stream, time-major.
+    Returns the time-averaged outer products of the means and the covariance.
     """
     assert cfg.n_traj <= _ROWS
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
-    hold_at = n_steps if hold_at is None else hold_at
     A, D = drift_matrix(plant), diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     Phi_cl = expm_by_eig(dt * (A + gain.BF @ meas.C))
     V = v0.data
     n = len(V)
-    Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
-    moving, held = (means_rhs(A, D, meas, gain, held) for held in (False, True))
-
-    def lf_map(V):
-        return ((Phi[:n, :n] @ V + Phi[:n, n:])
-                @ np.linalg.inv(Phi[n:, :n] @ V + Phi[n:, n:]))
-
-    Z = np.zeros((n, n))
-    if hold_at == 0:
-        Z = smith_stationary(Phi_cl, _rk4_moment(held, V, Z, dt))
-    for k in range(k_burn if hold_at else 0):
-        Z = _rk4_moment(moving if k < hold_at else held, V, Z, dt)
-        if k < hold_at:
-            V = lf_map(V)
+    Q = _rk4_moment(means_rhs(A, D, meas, gain, held=True), V, np.zeros((n, n)), dt)
     rng = _chunk_rng(cfg.seed, 0)
-    F = _psd_factor(Z)
+    F, R = _psd_factor(smith_stationary(Phi_cl, Q)), _psd_factor(Q)
     X = rng.normal(size=(cfg.n_traj, len(F))) @ F
     SXX = np.zeros((cfg.n_traj, n, n))
-    for k in range(k_burn, n_steps):
-        if k < hold_at or k == max(k_burn, hold_at):
-            Q = _rk4_moment(moving if k < hold_at else held, V, np.zeros((n, n)), dt)
-            R = _root(Q) if k < hold_at else _psd_factor(Q)
-        if k < hold_at:
-            V = lf_map(V)
+    for _ in range(k_burn, n_steps):
         X = X @ Phi_cl.T + rng.normal(size=(cfg.n_traj, len(R))) @ R
         SXX += np.einsum("ci,cj->cij", X, X)
     return SXX / (n_steps - k_burn), V

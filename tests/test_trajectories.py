@@ -3,19 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, CovarianceMatrix, FeedbackGain,
-                    NopoParams, PlantModel, SchemeId, SimConfig, StabilityError,
-                    TrajectoryDivergenceError, Unravelling, build_plant, closed_loop,
-                    closed_loop_for_scheme, conditional_V, cost_matrix,
+from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix,
+                    FeedbackGain, NopoParams, PlantModel, SchemeId, SimConfig,
+                    StabilityError, TrajectoryDivergenceError, Unravelling, build_plant,
+                    closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, homodyne_gain, is_physical,
                     lyapunov_steady, measurement_model, open_loop_V, optimal_gain,
                     optimal_nonlocal, optimize_scheme, regulation_cost,
-                    regulation_cost_sem, riccati_rhs, riccati_steady,
-                    scheme_realization, simulate_conditional)
+                    regulation_cost_sem, riccati_steady, scheme_realization,
+                    simulate_conditional)
 from entlqg.cli import MC_FLOOR, main
-from entlqg.dynamics import _expm
+from entlqg.dynamics import HURWITZ_TOL, _expm
 from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _psd_factor
-from entlqg.unravelling import RICCATI_REL_TOL, riccati_map, riccati_rel_residual
+from entlqg.unravelling import (RICCATI_REL_TOL, filter_gap, riccati_map,
+                                riccati_rel_residual)
 from oracles import (exact_mean_outer_se, exact_reference, expm_by_eig, increment_by_eig,
                      means_rhs, rk4_step)
 
@@ -105,25 +106,9 @@ class TestConditionalCovariance:
         assert np.array_equal(stats.v_c_final.data, result.V.data)
         assert np.all(stats.outer_by_traj == 0)
 
-    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
-    def test_transient_matches_rk4(self, dt):
-        # the exact linear-fractional map against a fine RK4 integration of
-        # the Riccati equation, from the open-loop state to T = 2
-        p = NopoParams(0.25)
-        plant = build_plant(p)
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        meas = measurement_model(plant, HOMODYNE_Q)
-        V = open_loop_V(p).data
-        for _ in range(2000):
-            V = rk4_step(lambda X: riccati_rhs(A, D, meas.C, meas.Gamma, X), V, 1e-3)
-        cfg = SimConfig(dt=dt, t_final=2.0, n_traj=2, seed=0)
-        stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=open_loop_V(p))
-        assert np.max(np.abs(V - open_loop_V(p).data)) > 1e-2   # a real transient
-        assert np.max(np.abs(stats.v_c_final.data - V)) <= 1e-10
-
     def test_step_size_insensitive(self):
-        # the covariance map is exact, so halving dt moves the endpoint only
-        # by rounding
+        # the relaxation's step does not depend on dt, so halving dt does not
+        # move the endpoint
         p = NopoParams(0.25)
         plant = build_plant(p)
         finals = []
@@ -144,57 +129,94 @@ class TestConditionalCovariance:
         W = riccati_steady(plant, HOMODYNE_Q)
         assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
 
+    @pytest.mark.parametrize("u, scheme", [(HOMODYNE_Q, SchemeId.NONE),
+                                           (HETERODYNE, SchemeId.HETERODYNE),
+                                           (JOINT_HOMODYNE, SchemeId.NONLOCAL)],
+                             ids=["homodyne-q", "heterodyne", "joint-homodyne"])
+    def test_moving_start_lands_on_conditional_v(self, u, scheme):
+        # from the open-loop state the relaxation meets the fixed-point rule on
+        # the stabilizing solution, the closed-form W (measured <= 9.8e-12 of
+        # max|W| at chi 0.45, where the flow is slowest of chi <= 0.45)
+        p = NopoParams(0.45)
+        plant = build_plant(p)
+        cfg = SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0)
+        V = simulate_conditional(plant, u, ZERO_GAIN, cfg, v0=open_loop_V(p)).v_c_final.data
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, u)
+        W = conditional_V(p, scheme).data
+        assert riccati_rel_residual(A, D, meas.C, meas.Gamma, V) <= RICCATI_REL_TOL
+        assert filter_gap(A, meas.C, meas.Gamma, V) < -HURWITZ_TOL
+        assert np.max(np.abs(V - W)) <= 1e-10 * np.max(np.abs(W))
+
+    @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
+                                        SchemeId.LOCAL_IV])
+    def test_moving_start_is_the_held_run_on_its_fixed_point(self, scheme):
+        # a start off the fixed point is relaxed to it before the means move:
+        # every statistic is that of the run started where it lands
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
+        moving = simulate_conditional(plant, u, gain, cfg, v0=open_loop_V(p))
+        held = simulate_conditional(plant, u, gain, cfg, v0=moving.v_c_final)
+        assert not np.array_equal(moving.v_c_final.data, open_loop_V(p).data)
+        assert np.array_equal(moving.v_c_final.data, held.v_c_final.data)
+        for field in ("mean_outer", "v_unconditional", "outer_by_traj"):
+            assert np.array_equal(getattr(moving, field), getattr(held, field))
+
+    def test_relaxation_is_shared_by_the_ensemble(self, monkeypatch):
+        # the relaxation runs once a run, at a step of its own: its map count
+        # grows neither with the number of trajectories nor with 1/dt
+        p = NopoParams(0.3)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
+        calls = []
+
+        def counted(V, Phi):
+            calls.append(1)
+            return riccati_map(V, Phi)
+
+        monkeypatch.setattr("entlqg.unravelling.riccati_map", counted)
+        counts = []
+        for n_traj, dt in ((64, 1e-2), (512, 1e-2), (1000, 1e-2), (64, 1e-3), (64, 0.5)):
+            calls.clear()
+            cfg = SimConfig(dt=dt, t_final=2.0, n_traj=n_traj, seed=3)
+            simulate_conditional(plant, u, gain, cfg, v0=open_loop_V(p))
+            counts.append(len(calls))
+        assert counts == [9] * 5   # measured: 9 maps
+
 
 class TestMeanRecursion:
-    @pytest.mark.parametrize("scheme, transient, t_final", [
-        (SchemeId.LOCAL_III, False, 6.0), (SchemeId.LOCAL_III, True, 6.0),
-        (SchemeId.HETERODYNE, False, 6.0), (SchemeId.HETERODYNE, False, 12.0)],
-        ids=["False", "True", "heterodyne", "heterodyne-three-blocks"])
-    def test_matches_per_step_exact_reference(self, scheme, transient, t_final):
-        # 600 steps: from the open-loop state, two full covariance blocks and
-        # a partial one, with the burn-in ending inside the second block, and
-        # the reference steps the covariance one linear-fractional map at a
-        # time; held, the 300 kept steps, one full block and a partial one.
+    @pytest.mark.parametrize("scheme, t_final", [
+        (SchemeId.LOCAL_III, 6.0), (SchemeId.HETERODYNE, 6.0), (SchemeId.HETERODYNE, 12.0)],
+        ids=["False", "heterodyne", "heterodyne-three-blocks"])
+    def test_matches_per_step_exact_reference(self, scheme, t_final):
+        # 600 steps: the 300 kept steps are one full block and a partial one.
         # Over 1200 steps, the 600 kept steps are two full blocks and a partial
-        # one, so one held step matrix is reused across block boundaries.
-        # The step matrix [Phi | R^T] has r = 1 (local-iii held), 2 (heterodyne
-        # held) and 2N (moving) noise columns.
+        # one, so one step matrix is reused across block boundaries. The step
+        # matrix [Phi | R^T] has r = 1 (local-iii) and 2 (heterodyne) noise
+        # columns.
         p = NopoParams(0.25)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, scheme))
         cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=7, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
-        v0 = open_loop_V(p) if transient else conditional_V(p, scheme)
+        v0 = conditional_V(p, scheme)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-        refs = exact_reference(plant, u, gain, cfg, v0, hold_at=None if transient else 0)
-        # measured: 3.0e-14 local-iii and 2.1e-14 heterodyne held (2.6e-14
-        # over 1200 steps), 4.2e-13 moving, the simulator's own round-off
-        # (the reference moves by 5e-14 from 8 to 32 RK4 substeps)
+        refs = exact_reference(plant, u, gain, cfg, v0)
+        # measured: 3.0e-14 local-iii and 2.1e-14 heterodyne (2.6e-14 over
+        # 1200 steps), the simulator's own round-off (the reference moves by
+        # 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the Gram's upper triangle is mirrored, not summed twice
         assert np.array_equal(stats.outer_by_traj, stats.outer_by_traj.swapaxes(1, 2))
 
-    def test_local_iv_moving_run_within_verify_floor(self):
-        # local-iv's noise coefficient is small, so its moving increment is
-        # mostly the round-off of a difference: the mean misses the reference
-        # by a relative ~1e-7, within the floor verify judges by (measured
-        # 2.6e-10 against 1e-9)
-        p = NopoParams(0.3)
-        plant = build_plant(p)
-        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.LOCAL_IV))
-        cfg = SimConfig(dt=1e-2, t_final=6.0, n_traj=7, seed=13)
-        v0 = open_loop_V(p)
-        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-        ref_outer, _ = exact_reference(plant, u, gain, cfg, v0, hold_at=None)
-        scale = max(1.0, np.max(np.abs(conditional_V(p, SchemeId.LOCAL_IV).data)))
-        assert np.max(np.abs(stats.mean_outer - ref_outer.mean(axis=0))) <= MC_FLOOR * scale
-
     def test_means_law_is_unconditional_minus_conditional(self):
         # Z(t) = V_pred + e^{A_cl t} (v0 - V_pred) e^{A_cl^T t} - V_c(t): the
-        # closed-loop identity a moving start steps by, against RK4 of the
-        # joint (V_c, Z) equations from (v0, 0)
+        # unconditional state follows the Lyapunov flow of closed_loop toward
+        # V_pred, against RK4 of the joint (V_c, Z) equations from (v0, 0)
         p = NopoParams(0.3)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
@@ -213,81 +235,15 @@ class TestMeanRecursion:
                 assert np.max(np.abs(S[1] - Z)) <= 1e-12 * np.max(np.abs(S[1]))
         assert np.max(np.abs(S[0] - v0)) > 1e-2   # a real transient
 
-    @pytest.mark.parametrize("t_final", [40.0, 50.0])
-    def test_covariance_held_from_first_fixed_point_block(self, monkeypatch, t_final):
-        # Switched on from the open-loop state, the covariance reaches its
-        # fixed point at step 2304: inside the kept window over t_final 40,
-        # inside the burn-in over t_final 50, where the means start from the
-        # held covariance. From the end of that block it is held, and the
-        # means match a reference that propagates it at every step (measured
-        # 3.3e-11 and 4.6e-13).
-        p = NopoParams(0.3)
-        plant = build_plant(p)
-        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
-        cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=8, seed=23)
-        ends = []
-
-        def recording_block(V, powers):
-            Vs = riccati_map(V, powers)
-            if V.ndim == 2:   # the block path; a stack of V is the one-step map
-                ends.append(Vs[-1])
-            return Vs
-
-        monkeypatch.setattr("entlqg.trajectories.riccati_map", recording_block)
-        v0 = open_loop_V(p)
-        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
-
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        meas = measurement_model(plant, u)
-        rels = [riccati_rel_residual(A, D, meas.C, meas.Gamma, V) for V in ends]
-        k_burn, hold_at = int(_BURN_IN * cfg.n_steps), len(ends) * _BLOCK
-        assert hold_at == 9 * _BLOCK and (k_burn < hold_at) == (t_final == 40.0)
-        assert min(rels[:-1]) > RICCATI_REL_TOL >= rels[-1]
-        assert np.array_equal(stats.v_c_final.data, ends[-1])
-        W = conditional_V(p, SchemeId.HETERODYNE).data
-        assert np.max(np.abs(stats.v_c_final.data - W)) <= 1e-10
-        ref_outer, _ = exact_reference(plant, u, gain, cfg, v0, hold_at=hold_at)
-        ref = ref_outer.mean(axis=0)
-        assert np.max(np.abs(stats.mean_outer - ref)) <= 1e-9 * np.max(np.abs(ref))
-
-    def test_covariance_path_computed_once_per_block(self, monkeypatch):
-        # The transient path is shared by every row chunk: its block count
-        # does not grow with the number of trajectories. Nine blocks reach
-        # the fixed point, and the two of them that reach into the kept window
-        # also map their covariances one step each, in one call on the stack.
-        # The seven burn-in blocks map V to their end alone. The kept window
-        # opens at k_burn = 2000, 208 steps into the block at 1792, which maps
-        # steps 2000 to 2048 (49); the block at 2048 maps 2048 to 2304 (257),
-        # where the hold fires.
-        p = NopoParams(0.3)
-        plant = build_plant(p)
-        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
-        calls, lengths = [], []
-
-        def counted(V, powers):
-            calls.append(V.ndim)
-            if V.ndim == 2:
-                lengths.append(len(powers))
-            return riccati_map(V, powers)
-
-        monkeypatch.setattr("entlqg.trajectories.riccati_map", counted)
-        for n_traj in (64, 512, 1000):
-            calls.clear()
-            lengths.clear()
-            cfg = SimConfig(dt=1e-2, t_final=40.0, n_traj=n_traj, seed=3)
-            simulate_conditional(plant, u, gain, cfg, v0=open_loop_V(p))
-            assert calls.count(2) == 9 and calls.count(3) == 2
-            assert lengths == [1] * 7 + [49, 257]
-
     @pytest.mark.parametrize("scheme, moving, rank", [
         (None, False, 4), (None, True, 4),
         (SchemeId.HETERODYNE, False, 2), (SchemeId.LOCAL_III, False, 1)])
     def test_only_the_kept_window_draws(self, monkeypatch, scheme, moving, rank):
-        # held or moving, the means draw their start at the end of the burn-in
-        # and then, a trajectory, one normal for each kept step and each row
-        # of its noise factor, nothing before: 2N rows while the covariance
-        # moves, and the rank of the increment once it is held, 2N at zero
-        # gain but 2 for heterodyne and 1 for local-iii at their optimal gains
+        # from the fixed point or relaxed to it, the means draw their start at
+        # the end of the burn-in and then, a trajectory, one normal for each
+        # kept step and each row of its noise factor, nothing before: the rank
+        # of the increment, 2N at zero gain but 2 for heterodyne and 1 for
+        # local-iii at their optimal gains
         drawn = []
 
         class Counting:
@@ -337,8 +293,8 @@ class TestMeanRecursion:
         assert np.max(np.abs(drawn.mean_outer - silent.mean_outer)) <= 1e-20
 
     def test_zero_noise_coefficient_off_the_fixed_point_draws(self):
-        # K is zero only at the start: the covariance then moves and the
-        # noise reaches the means, so the draw cannot be skipped
+        # K is zero only at the start: the covariance relaxes to its fixed
+        # point, where it is not, so the draw cannot be skipped
         p = NopoParams(0.25)
         plant = build_plant(p)
         V0 = open_loop_V(p)
@@ -546,15 +502,9 @@ class TestValidation:
                                  v0=q_homodyne_W(0.25))
 
     def test_config_validation(self):
-        # a moving start's covariance path caps dt at 1e-2, where the block
-        # powers of its exact map stay well conditioned; a held start
-        # propagates no covariance and is exact at any step
+        # the held chain is exact at any step
         p = NopoParams(0.25)
         plant = build_plant(p)
-        with pytest.raises(ValueError, match="moving start"):
-            simulate_conditional(plant, HETERODYNE, ZERO_GAIN,
-                                 SimConfig(dt=0.05, t_final=2.0, n_traj=2, seed=0),
-                                 v0=open_loop_V(p))
         stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN,
                                      SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0),
                                      v0=conditional_V(p, SchemeId.HETERODYNE))
@@ -570,6 +520,12 @@ class TestValidation:
                 SimConfig(t_final=bad)
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(dt=bad)
+        # a float or a bool would stop the simulator inside NumPy
+        for bad in ({"n_traj": 3.5}, {"n_traj": True}, {"seed": 1.5}, {"seed": np.True_}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimConfig(**bad)
+        cfg = SimConfig(n_traj=np.int64(2), seed=np.uint64(2**64 - 1))
+        assert type(cfg.n_traj) is int and type(cfg.seed) is int
 
     def test_one_trajectory_has_no_standard_error(self):
         # an SE of exactly zero would collapse every k-SE check to its floor
@@ -601,8 +557,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_short_horizon_is_silent(self, moving):
-        # a held start begins in the means' stationary law and a moving one
-        # in their exact law at the end of the burn-in: no warning either way
+        # the means begin in their stationary law, from the fixed point or
+        # relaxed to it: no warning either way
         p = NopoParams(0.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

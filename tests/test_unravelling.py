@@ -10,7 +10,7 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
                     simulate_conditional, symmetric_family_W, symplectic_form, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
 from entlqg.unravelling import _cbar, filter_gap, riccati_map, riccati_propagator
-from oracles import PRINTED_OPTIMAL_U, rk4_relaxation
+from oracles import PRINTED_OPTIMAL_U, rk4_relaxation, rk4_step
 
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
@@ -153,6 +153,26 @@ class TestRiccatiRhs:
                 assert np.array_equal(got, got.T)
 
 
+class TestRiccatiPropagator:
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_transient_matches_rk4(self, dt):
+        # the exact linear-fractional map against a fine RK4 integration of
+        # the Riccati equation, from the open-loop state to T = 2
+        p = NopoParams(0.25)
+        plant = build_plant(p)
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        meas = measurement_model(plant, HOMODYNE_Q)
+        V = open_loop_V(p).data
+        for _ in range(2000):
+            V = rk4_step(lambda X: riccati_rhs(A, D, meas.C, meas.Gamma, X), V, 1e-3)
+        Phi = riccati_propagator(A, D, meas.C, meas.Gamma, dt)
+        mapped = open_loop_V(p).data
+        for _ in range(int(round(2.0 / dt))):
+            mapped = riccati_map(mapped, Phi)
+        assert np.max(np.abs(V - open_loop_V(p).data)) > 1e-2   # a real transient
+        assert np.max(np.abs(mapped - V)) <= 1e-10
+
+
 class TestRiccatiSteady:
     @pytest.mark.parametrize("chi, u", [(0.25, HETERODYNE), (0.1, JOINT_HOMODYNE)])
     def test_matches_rk4_relaxation(self, chi, u):
@@ -165,8 +185,8 @@ class TestRiccatiSteady:
                                    random_unravelling(np.random.default_rng(29))],
                              ids=["homodyne-q", "heterodyne", "sigma-x", "random"])
     def test_result_is_held_by_the_simulator(self, chi, u):
-        # riccati_steady stops on the simulator's hold rule, so a run started
-        # on its W holds the covariance: a moving one would leave it by rounding
+        # riccati_steady stops on the simulator's fixed-point rule, so a run
+        # started on its W holds it exactly, with no relaxation of its own
         plant = build_plant(NopoParams(chi))
         W = riccati_steady(plant, u)
         cfg = SimConfig(dt=1e-2, t_final=1.0, n_traj=2, seed=0)
@@ -190,7 +210,7 @@ class TestRiccatiSteady:
         assert filter_gap(A, meas.C, meas.Gamma, V) > 0
 
     def test_map_of_a_stack_is_the_map_of_each(self):
-        # the simulator maps a block's covariances one step each in one call
+        # riccati_map broadcasts over a stack of covariances
         plant = build_plant(NopoParams(0.3))
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, HETERODYNE)
