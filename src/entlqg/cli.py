@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dynamics import HURWITZ_TOL, drift_matrix, diffusion_matrix, lyapunov_steady
+from .dynamics import drift_matrix, diffusion_matrix, lyapunov_steady
 from .errors import (EntlqgError, InvalidUnravellingError, RecoveryError,
                      TrajectoryDivergenceError)
 from .feedback import closed_loop
@@ -27,8 +27,8 @@ from .nopo import (CHI_MAX, CURVE_SCHEMES, NopoParams, SchemeId, SchemeResult,
 from .trajectories import SimConfig, regulation_cost, regulation_cost_sem, simulate_conditional
 # riccati_steady has no caller here; the benchmark's tracer binds
 # entlqg.cli.riccati_steady by name.
-from .unravelling import (RICCATI_REL_TOL, filter_gap, measurement_model, recover_unravelling,
-                          riccati_rel_residual, riccati_steady, u_matrix)
+from .unravelling import (RICCATI_REL_TOL, measurement_model, recover_unravelling,
+                          riccati_certificate, riccati_steady, u_matrix)
 
 CSV_COLUMNS = ("chi", "scheme", "param_name", "param_value",
                "L_bits", "S_bits", "m_cost", "stability_flag")
@@ -248,12 +248,10 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
            seed: int):
     """Monte-Carlo check of a scheme against its closed-form conditional state.
 
-    The trajectories start on the closed-form conditional covariance W. W is
-    certified as the stabilizing Riccati solution by the rule of
-    ``riccati_steady``: relative residual max|dW/dt| / max|W| at most
-    RICCATI_REL_TOL, and filter gap max Re eig(A - Gamma^T C - W C^T C)
-    below -HURWITZ_TOL. The trajectory statistics are then compared with W
-    and with the Lyapunov steady state of the closed loop.
+    The trajectories start on the closed-form conditional covariance W,
+    which ``riccati_certificate`` must certify as the stabilizing Riccati
+    solution. The trajectory statistics are then compared with W and with
+    the Lyapunov steady state of the closed loop.
     """
     if ntraj < 2:
         raise click.BadParameter("a standard error needs at least two trajectories",
@@ -285,11 +283,10 @@ def verify(chi: float, scheme: SchemeId, ntraj: int, dt: float, horizon: float,
              f"horizon={fmt12(horizon)} seed={seed}"]
     ok = True
 
-    rel = riccati_rel_residual(A, D, meas.C, meas.Gamma, W.data)
-    gap = filter_gap(A, meas.C, meas.Gamma, W.data)
-    ok &= _check("stabilizing Riccati solution", rel <= RICCATI_REL_TOL and gap < -HURWITZ_TOL,
-                 f"relative residual {rel:.3e} (tol {RICCATI_REL_TOL:.0e}), "
-                 f"filter gap {gap:.3e}", lines)
+    cert = riccati_certificate(A, D, meas.C, meas.Gamma, W.data)
+    ok &= _check("stabilizing Riccati solution", cert.stabilizing,
+                 f"relative residual {cert.rel_residual:.3e} (tol {RICCATI_REL_TOL:.0e}), "
+                 f"filter gap {cert.filter_gap:.3e}", lines)
 
     scale = max(1.0, np.max(np.abs(W.data)))
     dv = np.max(np.abs(stats.v_c_final.data - W.data))

@@ -23,8 +23,8 @@ from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
 # riccati_rhs and riccati_steady have no caller here; the benchmark's tracer
 # binds entlqg.trajectories.riccati_rhs and .riccati_steady by name.
-from .unravelling import (RICCATI_REL_TOL, Unravelling, _relax, measurement_model,
-                          riccati_propagator, riccati_rel_residual, riccati_rhs, riccati_steady)
+from .unravelling import (Unravelling, _stabilizing_fixed_point, measurement_model, riccati_rhs,
+                          riccati_steady)
 
 _BLOCK = 256              # time steps per noise block
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
@@ -133,16 +133,11 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
                          cfg: SimConfig, v0: CovarianceMatrix) -> TrajectoryStats:
     """Simulate the conditional moments under continuous measurement and feedback.
 
-    The conditional covariance is held on a fixed point of its Riccati
-    equation for the whole run; ``v0`` is where its relaxation starts. A
-    ``v0`` that meets ``riccati_rel_residual`` <= RICCATI_REL_TOL, the stop
-    rule of ``riccati_steady``, is the fixed point, and ``v_c_final`` equals
-    it exactly; for steady-state operation pass the stationary conditional
-    covariance W. Any other ``v0`` is relaxed to the rule by the loop of
-    ``riccati_steady``, V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 with
-    Phi = exp(H tau), at the fixed step tau = ``_RELAX_STEP`` that
-    ``cfg.dt`` does not set, and raises NoStableSolutionError where that
-    loop does. The run is then the held run on the fixed point it lands on.
+    The conditional covariance is held for the whole run on the stabilizing
+    solution that ``unravelling._stabilizing_fixed_point`` reaches from
+    ``v0`` at the step ``_RELAX_STEP``, which ``cfg.dt`` does not set. A
+    ``v0`` on it is held as it is: for steady-state operation pass the
+    stationary conditional covariance W, which ``v_c_final`` then equals.
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. They start in their stationary law
@@ -177,9 +172,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     if not is_hurwitz(A_cl):
         raise StabilityError("closed-loop drift A + BF C is not Hurwitz")
 
-    V = v0.data
-    if not riccati_rel_residual(A, D, C, Gamma, V) <= RICCATI_REL_TOL:
-        V = _relax(A, D, C, Gamma, V, riccati_propagator(A, D, C, Gamma, _RELAX_STEP))
+    V = _stabilizing_fixed_point(A, D, C, Gamma, v0.data, _RELAX_STEP)
     n_steps = cfg.n_steps
     k_burn = int(_BURN_IN * n_steps)
     n = A.shape[0]

@@ -122,9 +122,21 @@ def riccati_rel_residual(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.
     return float(np.abs(riccati_rhs(A, D, C, Gamma, V)).max() / np.abs(V).max())
 
 
-def filter_gap(A: np.ndarray, C: np.ndarray, Gamma: np.ndarray, V: np.ndarray) -> float:
-    """Max real part of eig(A - Gamma^T C - V C^T C); a fixed point is stabilizing iff < 0."""
-    return float(np.linalg.eigvals(A - Gamma.T @ C - V @ C.T @ C).real.max())
+class RiccatiCertificate(NamedTuple):
+    rel_residual: float
+    filter_gap: float
+    stabilizing: bool
+
+
+def riccati_certificate(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
+                        V: np.ndarray) -> RiccatiCertificate:
+    """V is the stabilizing solution: residual <= RICCATI_REL_TOL, filter gap < -HURWITZ_TOL.
+
+    The filter gap is the max real part of eig(A - Gamma^T C - V C^T C).
+    """
+    rel = riccati_rel_residual(A, D, C, Gamma, V)
+    gap = float(np.linalg.eigvals(A - Gamma.T @ C - V @ C.T @ C).real.max())
+    return RiccatiCertificate(rel, gap, rel <= RICCATI_REL_TOL and gap < -HURWITZ_TOL)
 
 
 def riccati_propagator(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
@@ -140,28 +152,36 @@ def riccati_propagator(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.nd
 
 
 def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1 for one V and Phi, or a stack of either."""
-    n = V.shape[-1]
-    XY = Phi[..., :n] @ V + Phi[..., n:]
+    """V <- (Phi11 V + Phi12)(Phi21 V + Phi22)^-1."""
+    n = len(V)
+    XY = Phi[:, :n] @ V + Phi[:, n:]
     # X Y^-1 = (Y^-T X^T)^T, and V is symmetric.
-    Vs = np.linalg.solve(XY[..., n:, :].swapaxes(-1, -2), XY[..., :n, :].swapaxes(-1, -2))
-    return 0.5 * (Vs + Vs.swapaxes(-1, -2))
+    Vs = np.linalg.solve(XY[n:].T, XY[:n].T)
+    return 0.5 * (Vs + Vs.T)
 
 
-def _relax(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
-           V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """Step V by ``riccati_map(V, Phi)`` until ``riccati_rel_residual`` <= RICCATI_REL_TOL.
+def _stabilizing_fixed_point(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
+                             V: np.ndarray, dt: float) -> np.ndarray:
+    """The stabilizing solution that the exact Riccati flow at step dt reaches from V.
 
-    A V that already meets the rule is returned as it is. Raises
-    NoStableSolutionError when the residual turns inf or NaN, or when
-    RICCATI_MAX_STEPS maps do not meet the rule.
+    V is stepped by ``riccati_map`` until ``riccati_rel_residual`` <= RICCATI_REL_TOL; a V
+    that meets it is returned as it is, with no Phi formed. A forward flow lands on the
+    stabilizing solution when one exists. NoStableSolutionError is raised on divergence,
+    after RICCATI_MAX_STEPS maps, and for a landing that fails ``riccati_certificate``.
     """
+    Phi = None
     for _ in range(RICCATI_MAX_STEPS):
         rel = riccati_rel_residual(A, D, C, Gamma, V)
         if rel <= RICCATI_REL_TOL:
+            cert = riccati_certificate(A, D, C, Gamma, V)
+            if not cert.stabilizing:
+                raise NoStableSolutionError(
+                    f"Riccati fixed point not stabilizing, gap {cert.filter_gap:.3e}")
             return V
         if not rel < np.inf:   # inf or NaN
             raise NoStableSolutionError("Riccati relaxation diverged")
+        if Phi is None:
+            Phi = riccati_propagator(A, D, C, Gamma, dt)
         V = riccati_map(V, Phi)
     raise NoStableSolutionError(
         f"Riccati relaxation did not converge within {RICCATI_MAX_STEPS} steps")
@@ -170,24 +190,13 @@ def _relax(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
 def riccati_steady(plant: PlantModel, u: Unravelling) -> CovarianceMatrix:
     """Stabilizing steady state of the conditional covariance equation.
 
-    Solved by relaxation along the exact Riccati flow: from the unconditional
-    steady state, V is stepped forward by ``riccati_map`` with
-    Phi = exp(H dt), dt = 0.01, until ``riccati_rel_residual`` is at most
-    RICCATI_REL_TOL. A forward flow lands on the stabilizing solution when
-    one exists (a backward flow would relax to the anti-stabilizing solution
-    instead); the landing is certified by its ``filter_gap``, which must lie
-    below -HURWITZ_TOL, or NoStableSolutionError is raised.
+    ``_stabilizing_fixed_point`` from the unconditional steady state at dt = 0.01.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
-    C, Gamma = meas.C, meas.Gamma
-    Phi = riccati_propagator(A, D, C, Gamma, _RICCATI_DT)
-    V = _relax(A, D, C, Gamma, lyapunov_steady(A, D).data, Phi)
-    gap = filter_gap(A, C, Gamma, V)
-    if not gap < -HURWITZ_TOL:
-        raise NoStableSolutionError(f"Riccati fixed point not stabilizing, gap {gap:.3e}")
-    return CovarianceMatrix(V)
+    return CovarianceMatrix(_stabilizing_fixed_point(
+        A, D, meas.C, meas.Gamma, lyapunov_steady(A, D).data, _RICCATI_DT))
 
 
 class LmiReport(NamedTuple):

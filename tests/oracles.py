@@ -53,6 +53,23 @@ def rk4_relaxation(plant, u, dt=0.01):
     raise AssertionError("RK4 oracle did not converge")
 
 
+def anti_stabilizing_solution(plant, u):
+    """Checks riccati_certificate: X Y^-1 over H's stable eigenvectors, an eigensolve, not a flow.
+
+    [X; Y] spans the invariant subspace of the Hamiltonian H of the conditional
+    Riccati equation for eigenvalues with negative real part; X Y^-1 solves the
+    algebraic equation, but is the anti-stabilizing solution.
+    """
+    A, D = drift_matrix(plant), diffusion_matrix(plant)
+    meas = measurement_model(plant, u)
+    C, Gamma = meas.C, meas.Gamma
+    Omega = A - Gamma.T @ C
+    w, vecs = np.linalg.eig(np.block([[Omega, D - Gamma.T @ Gamma], [C.T @ C, -Omega.T]]))
+    X, Y = np.split(vecs[:, w.real < 0], 2)
+    V = np.linalg.solve(Y.T, X.T).real   # (X Y^-1)^T; the solution is real and symmetric
+    return 0.5 * (V + V.T)
+
+
 def grid_minimizer(chi, grid=400):
     """Checks optimal_nonlocal_alpha_beta: min 2(alpha-beta) over a grid, not the closed form."""
     # Constraints: alpha >= sqrt(1+4 beta^2)/2 (physicality of the family) and

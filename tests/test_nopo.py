@@ -14,7 +14,7 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
                     scheme_realization, symmetric_family_W, von_neumann_entropy)
 from entlqg.dynamics import HURWITZ_TOL
 from entlqg.nopo import EDGE_MARGIN
-from entlqg.unravelling import filter_gap, riccati_rel_residual
+from entlqg.unravelling import riccati_certificate
 from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
                      expanded_homodyne_V, grid_maximizer, grid_minimizer,
                      relative_error_to_exact)
@@ -437,8 +437,10 @@ class TestConditionalV:
         W = conditional_V(NopoParams(chi), scheme)
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, MEASUREMENTS[scheme])
-        assert riccati_rel_residual(A, D, meas.C, meas.Gamma, W.data) <= 1e-14
-        assert filter_gap(A, meas.C, meas.Gamma, W.data) < -HURWITZ_TOL
+        cert = riccati_certificate(A, D, meas.C, meas.Gamma, W.data)
+        assert cert.rel_residual <= 1e-14
+        assert cert.filter_gap < -HURWITZ_TOL
+        assert cert.stabilizing
         assert lmi_feasible(W, plant).feasible
 
     def test_every_scheme_gets_the_state_of_its_measurement(self):
@@ -449,4 +451,4 @@ class TestConditionalV:
             u, _ = scheme_realization(p, optimize_scheme(p, scheme))
             meas = measurement_model(plant, u)
             W = conditional_V(p, scheme).data
-            assert riccati_rel_residual(A, D, meas.C, meas.Gamma, W) <= 1e-14, scheme
+            assert riccati_certificate(A, D, meas.C, meas.Gamma, W).rel_residual <= 1e-14, scheme

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix,
-                    FeedbackGain, NopoParams, PlantModel, SchemeId, SimConfig,
-                    StabilityError, TrajectoryDivergenceError, Unravelling, build_plant,
+                    FeedbackGain, NoStableSolutionError, NopoParams, PlantModel, SchemeId,
+                    SimConfig, StabilityError, TrajectoryDivergenceError, Unravelling, build_plant,
                     closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, homodyne_gain, is_physical,
                     lyapunov_steady, measurement_model, open_loop_V, optimal_gain,
@@ -15,10 +15,9 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
 from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _psd_factor
-from entlqg.unravelling import (RICCATI_REL_TOL, filter_gap, riccati_map,
-                                riccati_rel_residual)
-from oracles import (exact_mean_outer_se, exact_reference, expm_by_eig, increment_by_eig,
-                     means_rhs, rk4_step)
+from entlqg.unravelling import RICCATI_REL_TOL, riccati_certificate, riccati_map
+from oracles import (anti_stabilizing_solution, exact_mean_outer_se, exact_reference,
+                     expm_by_eig, increment_by_eig, means_rhs, rk4_step)
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
 
@@ -144,9 +143,19 @@ class TestConditionalCovariance:
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
         W = conditional_V(p, scheme).data
-        assert riccati_rel_residual(A, D, meas.C, meas.Gamma, V) <= RICCATI_REL_TOL
-        assert filter_gap(A, meas.C, meas.Gamma, V) < -HURWITZ_TOL
+        cert = riccati_certificate(A, D, meas.C, meas.Gamma, V)
+        assert cert.rel_residual <= RICCATI_REL_TOL
+        assert cert.filter_gap < -HURWITZ_TOL
         assert np.max(np.abs(V - W)) <= 1e-10 * np.max(np.abs(W))
+
+    def test_anti_stabilizing_start_rejected(self):
+        # the anti-stabilizing solution meets the fixed-point rule, but it is
+        # not held: the start is certified as riccati_steady's landing is
+        plant = build_plant(NopoParams(0.3))
+        cfg = SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0)
+        v0 = CovarianceMatrix(anti_stabilizing_solution(plant, HETERODYNE))
+        with pytest.raises(NoStableSolutionError, match="not stabilizing"):
+            simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg, v0=v0)
 
     @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
                                         SchemeId.LOCAL_IV])

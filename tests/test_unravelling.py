@@ -9,8 +9,8 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
                     recover_unravelling, riccati_rhs, riccati_steady,
                     simulate_conditional, symmetric_family_W, symplectic_form, u_matrix)
 from entlqg.gaussian import CovarianceMatrix
-from entlqg.unravelling import _cbar, filter_gap, riccati_map, riccati_propagator
-from oracles import PRINTED_OPTIMAL_U, rk4_relaxation, rk4_step
+from entlqg.unravelling import _cbar, riccati_certificate, riccati_map, riccati_propagator
+from oracles import PRINTED_OPTIMAL_U, anti_stabilizing_solution, rk4_relaxation, rk4_step
 
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
@@ -206,21 +206,10 @@ class TestRiccatiSteady:
                 break
             V = riccati_map(V, Phi)
         assert np.max(np.abs(riccati_rhs(A, D, meas.C, meas.Gamma, V))) <= 1e-10
-        assert lmi_feasible(CovarianceMatrix(V), plant).physical_margin < -0.5
-        assert filter_gap(A, meas.C, meas.Gamma, V) > 0
-
-    def test_map_of_a_stack_is_the_map_of_each(self):
-        # riccati_map broadcasts over a stack of covariances
-        plant = build_plant(NopoParams(0.3))
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        meas = measurement_model(plant, HETERODYNE)
-        Phi = riccati_propagator(A, D, meas.C, meas.Gamma, 0.01)
-        Vs = [lyapunov_steady(A, D).data]
-        for _ in range(2):
-            Vs.append(riccati_map(Vs[-1], Phi))
-        got = riccati_map(np.stack(Vs), Phi)
-        want = np.stack([riccati_map(V, Phi) for V in Vs])
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        anti = anti_stabilizing_solution(plant, HETERODYNE)
+        assert np.max(np.abs(V - anti)) <= 1e-9   # measured 8.5e-11
+        assert lmi_feasible(CovarianceMatrix(anti), plant).physical_margin < -0.5
+        assert riccati_certificate(A, D, meas.C, meas.Gamma, anti).filter_gap > 0
 
     def test_anti_stabilizing_landing_rejected(self, monkeypatch):
         # run backward, the relaxation meets its stop rule on the
