@@ -23,8 +23,8 @@ from .feedback import FeedbackGain
 from .gaussian import CovarianceMatrix
 # riccati_rhs and riccati_steady have no caller here; the benchmark's tracer
 # binds entlqg.trajectories.riccati_rhs and .riccati_steady by name.
-from .unravelling import (Unravelling, _stabilizing_fixed_point, measurement_model, riccati_rhs,
-                          riccati_steady)
+from .unravelling import (RiccatiCertificate, Unravelling, _stabilizing_fixed_point,
+                          measurement_model, riccati_rhs, riccati_steady)
 
 _BLOCK = 256              # time steps per noise block
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
@@ -64,8 +64,8 @@ class SimConfig:
             object.__setattr__(self, name, operator.index(value))
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not self.dt <= self.t_final < np.inf:
-            raise ValueError(f"t_final must be finite and at least dt, got {self.t_final}")
+        if not 1.0 <= self.t_final / self.dt < np.inf:   # dt <= t_final, finite n_steps
+            raise ValueError(f"t_final must be finite in dt steps and >= dt, got {self.t_final}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -80,13 +80,15 @@ class SimConfig:
 class TrajectoryStats:
     """Aggregated steady-state statistics of a simulated ensemble.
 
-    mean_outer is the time-and-ensemble average of <x><x>^T after burn-in;
-    v_unconditional = v_c_final + mean_outer estimates the stationary
-    unconditional covariance. The per-trajectory outer products are kept so
-    that standard errors are estimated across trajectories, not within one.
+    certificate is the simulator's one ``riccati_certificate`` of v_c_final,
+    the covariance held. mean_outer is the time-and-ensemble average of
+    <x><x>^T after burn-in; v_unconditional = v_c_final + mean_outer estimates
+    the stationary unconditional covariance. The per-trajectory outer products
+    are kept so that standard errors are estimated across trajectories.
     """
 
     v_c_final: CovarianceMatrix
+    certificate: RiccatiCertificate
     mean_outer: np.ndarray
     v_unconditional: np.ndarray
     outer_by_traj: np.ndarray   # (n_traj, 2N, 2N) time-averaged <x><x>^T
@@ -135,9 +137,10 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     The conditional covariance is held for the whole run on the stabilizing
     solution that ``unravelling._stabilizing_fixed_point`` reaches from
-    ``v0`` at the step ``_RELAX_STEP``, which ``cfg.dt`` does not set. A
-    ``v0`` on it is held as it is: for steady-state operation pass the
-    stationary conditional covariance W, which ``v_c_final`` then equals.
+    ``v0`` at the step ``_RELAX_STEP``, which ``cfg.dt`` does not set, and
+    certifies once, as ``certificate``. A ``v0`` on it is held as it is:
+    for steady-state operation pass the stationary conditional covariance
+    W, which ``v_c_final`` then equals.
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
     and K = V_c C^T + Gamma^T + BF. They start in their stationary law
@@ -172,7 +175,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     if not is_hurwitz(A_cl):
         raise StabilityError("closed-loop drift A + BF C is not Hurwitz")
 
-    V = _stabilizing_fixed_point(A, D, C, Gamma, v0.data, _RELAX_STEP)
+    V, cert = _stabilizing_fixed_point(A, D, C, Gamma, v0.data, _RELAX_STEP)
     n_steps = cfg.n_steps
     k_burn = int(_BURN_IN * n_steps)
     n = A.shape[0]
@@ -217,7 +220,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
 
     v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)
-    return TrajectoryStats(v_c_final=v_c_final, mean_outer=mean_outer,
+    return TrajectoryStats(v_c_final=v_c_final, certificate=cert, mean_outer=mean_outer,
                            v_unconditional=v_c_final.data + mean_outer,
                            outer_by_traj=outer_by)
 

@@ -124,17 +124,19 @@ def riccati_rel_residual(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.
 
 class RiccatiCertificate(NamedTuple):
     rel_residual: float
-    filter_gap: float
+    filter_gap: float   # max real part of eig(A - Gamma^T C - V C^T C)
     stabilizing: bool
 
 
 def riccati_certificate(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
                         V: np.ndarray) -> RiccatiCertificate:
-    """V is the stabilizing solution: residual <= RICCATI_REL_TOL, filter gap < -HURWITZ_TOL.
+    """V is the stabilizing solution: residual <= RICCATI_REL_TOL, filter gap < -HURWITZ_TOL."""
+    return _certificate(A, C, Gamma, V, riccati_rel_residual(A, D, C, Gamma, V))
 
-    The filter gap is the max real part of eig(A - Gamma^T C - V C^T C).
-    """
-    rel = riccati_rel_residual(A, D, C, Gamma, V)
+
+def _certificate(A: np.ndarray, C: np.ndarray, Gamma: np.ndarray, V: np.ndarray,
+                 rel: float) -> RiccatiCertificate:
+    """``riccati_certificate`` of V from its known ``riccati_rel_residual`` rel: one eigensolve."""
     gap = float(np.linalg.eigvals(A - Gamma.T @ C - V @ C.T @ C).real.max())
     return RiccatiCertificate(rel, gap, rel <= RICCATI_REL_TOL and gap < -HURWITZ_TOL)
 
@@ -161,23 +163,23 @@ def riccati_map(V: np.ndarray, Phi: np.ndarray) -> np.ndarray:
 
 
 def _stabilizing_fixed_point(A: np.ndarray, D: np.ndarray, C: np.ndarray, Gamma: np.ndarray,
-                             V: np.ndarray, dt: float) -> np.ndarray:
+                             V: np.ndarray, dt: float) -> tuple[np.ndarray, RiccatiCertificate]:
     """The stabilizing solution that the exact Riccati flow at step dt reaches from V.
 
     V is stepped by ``riccati_map`` until ``riccati_rel_residual`` <= RICCATI_REL_TOL; a V
-    that meets it is returned as it is, with no Phi formed. A forward flow lands on the
-    stabilizing solution when one exists. NoStableSolutionError is raised on divergence,
-    after RICCATI_MAX_STEPS maps, and for a landing that fails ``riccati_certificate``.
+    that meets it is returned as it is, with no Phi formed, and with its certificate. A
+    forward flow lands on the stabilizing solution when one exists. NoStableSolutionError
+    is raised on divergence, after RICCATI_MAX_STEPS maps, and if the certificate fails.
     """
     Phi = None
     for _ in range(RICCATI_MAX_STEPS):
         rel = riccati_rel_residual(A, D, C, Gamma, V)
         if rel <= RICCATI_REL_TOL:
-            cert = riccati_certificate(A, D, C, Gamma, V)
+            cert = _certificate(A, C, Gamma, V, rel)
             if not cert.stabilizing:
                 raise NoStableSolutionError(
                     f"Riccati fixed point not stabilizing, gap {cert.filter_gap:.3e}")
-            return V
+            return V, cert
         if not rel < np.inf:   # inf or NaN
             raise NoStableSolutionError("Riccati relaxation diverged")
         if Phi is None:
@@ -196,7 +198,7 @@ def riccati_steady(plant: PlantModel, u: Unravelling) -> CovarianceMatrix:
     D = diffusion_matrix(plant)
     meas = measurement_model(plant, u)
     return CovarianceMatrix(_stabilizing_fixed_point(
-        A, D, meas.C, meas.Gamma, lyapunov_steady(A, D).data, _RICCATI_DT))
+        A, D, meas.C, meas.Gamma, lyapunov_steady(A, D).data, _RICCATI_DT)[0])
 
 
 class LmiReport(NamedTuple):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from entlqg import SchemeId
+from entlqg import SchemeId, unravelling
 from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main, run
 from oracles import DOMAIN_CHIS
 
@@ -194,13 +194,42 @@ class TestVerify:
         assert result.exit_code == 2
         assert "standard error needs at least two trajectories" in result.output
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
-    def test_non_finite_horizon_rejected(self, runner, horizon):
-        # a non-finite horizon has no step count: an argument error, not a
-        # traceback with the exit code of a failed check
-        result = runner.invoke(main, ["verify", "--chi", "0.3", "--horizon", horizon])
+    @pytest.mark.parametrize("args", [["--horizon", "nan"], ["--horizon", "inf"],
+                                      ["--dt", "1e-300", "--horizon", "1e300"]],
+                             ids=["nan", "inf", "1e300-steps-of-1e-300"])
+    def test_non_finite_horizon_rejected(self, runner, args):
+        # a non-finite horizon, or one of more steps dt than a float holds,
+        # has no step count: an argument error, not a traceback with the exit
+        # code of a failed check
+        result = runner.invoke(main, ["verify", "--chi", "0.3", *args])
         assert result.exit_code == 2
         assert "t_final must be finite" in result.output
+
+    def test_held_covariance_certified_once(self, runner, monkeypatch):
+        # the simulator certifies the covariance it holds, and verify prints
+        # that certificate: one Riccati residual and one filter-gap eigensolve
+        # a run, for the closed-form W of each scheme CI verifies
+        counts = {"rhs": 0, "gap": 0}
+        rhs, eigvals = unravelling.riccati_rhs, np.linalg.eigvals
+
+        def counted_rhs(*args):
+            counts["rhs"] += 1
+            return rhs(*args)
+
+        def counted_eigvals(a):
+            # unravelling calls eigvals for the filter gap alone
+            if sys._getframe(1).f_globals["__name__"] == unravelling.__name__:
+                counts["gap"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(unravelling, "riccati_rhs", counted_rhs)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        for scheme in ("nonlocal", "heterodyne", "local-iii", "local-iv"):
+            counts.update(rhs=0, gap=0)
+            result = runner.invoke(main, ["verify", "--chi", "0.3", "--scheme", scheme])
+            assert result.exit_code == 0, result.output
+            assert "[PASS] stabilizing Riccati solution" in result.output
+            assert counts == {"rhs": 1, "gap": 1}, scheme
 
     def test_decomposition_figure_is_a_seeded_ratio(self, runner):
         # local-iii has entries whose standard error is exactly 0; the worst

@@ -92,6 +92,11 @@ class TestConditionalCovariance:
         cfg = SimConfig(dt=1e-2, t_final=3.0, n_traj=2, seed=0)
         stats = simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg, v0=W)
         assert np.array_equal(stats.v_c_final.data, W.data)
+        # the certificate carried is that of the covariance held
+        meas = measurement_model(plant, HETERODYNE)
+        A, D = drift_matrix(plant), diffusion_matrix(plant)
+        cert = riccati_certificate(A, D, meas.C, meas.Gamma, stats.v_c_final.data)
+        assert stats.certificate == cert and cert.stabilizing
 
     def test_fixed_point_at_chi_max_is_held(self):
         # max|dW/dt| is 3e-11 on max|W| = 1.25e5: a fixed point relative to
@@ -139,11 +144,13 @@ class TestConditionalCovariance:
         p = NopoParams(0.45)
         plant = build_plant(p)
         cfg = SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0)
-        V = simulate_conditional(plant, u, ZERO_GAIN, cfg, v0=open_loop_V(p)).v_c_final.data
+        stats = simulate_conditional(plant, u, ZERO_GAIN, cfg, v0=open_loop_V(p))
+        V = stats.v_c_final.data
         A, D = drift_matrix(plant), diffusion_matrix(plant)
         meas = measurement_model(plant, u)
         W = conditional_V(p, scheme).data
         cert = riccati_certificate(A, D, meas.C, meas.Gamma, V)
+        assert stats.certificate == cert   # field for field, the landing's own
         assert cert.rel_residual <= RICCATI_REL_TOL
         assert cert.filter_gap < -HURWITZ_TOL
         assert np.max(np.abs(V - W)) <= 1e-10 * np.max(np.abs(W))
@@ -524,6 +531,8 @@ class TestValidation:
             SimConfig(n_traj=0)
         with pytest.raises(ValueError):
             SimConfig(t_final=1e-5, dt=1e-3)
+        with pytest.raises(ValueError, match="finite"):   # t_final / dt overflows
+            SimConfig(dt=1e-300, t_final=1e300)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(t_final=bad)
