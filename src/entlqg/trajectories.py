@@ -27,8 +27,11 @@ from .unravelling import (RiccatiCertificate, Unravelling, _stabilizing_fixed_po
                           measurement_model, riccati_rhs, riccati_steady)
 
 _BLOCK = 256              # time steps per noise block
+_FOLD = 8                 # time steps per product of the folded step matrix; divides _BLOCK
+_FOLD_ROWS = 128          # the widest row chunk that folds; a wider one takes a step per product
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
 _DIVERGENCE_LIMIT = 1e6
+_MAX_STEPS = 10**8        # steps on the horizon grid: 2000x the longest run in tests and perfbench
 _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 _RELAX_STEP = 2.56        # step of the exact Riccati flow that relaxes a start off its fixed point
 
@@ -39,16 +42,18 @@ class SimConfig:
 
     dt and t_final are in damping-time units. The conditional covariance is
     held, and the means' chain is exact, up to round-off, at any dt, which
-    only sets how finely the kept window is sampled. The statistics keep the
-    last 1 - ``_BURN_IN`` of the horizon, and the means start there, at
-    t_b = ``_BURN_IN`` * t_final, in their stationary law. The starts and
-    Gaussian increments come from one SFC64 stream per row chunk, seeded by
-    the SeedSequence spawn key (chunk,) of the master seed, so a run is
-    bit-identical for the same seed and ensemble size. A step draws one
-    normal per trajectory for each row of its noise factor: the rank r of
-    the increment, 2 for heterodyne and 1 for local-iii at their optimal
-    gains. n_traj and seed are integers, NumPy's included; a float or a bool
-    is rejected.
+    only sets how finely the kept window is sampled. The horizon holds
+    n_steps = t_final / dt steps, at most ``_MAX_STEPS``. The statistics
+    keep the last 1 - ``_BURN_IN`` of the horizon, and the means start
+    there, at t_b = ``_BURN_IN`` * t_final, in their stationary law. The
+    starts and Gaussian increments come from one SFC64 stream per row chunk,
+    seeded by the SeedSequence spawn key (chunk,) of the master seed, so a
+    run is bit-identical for the same seed and ensemble size. A step draws
+    one normal per trajectory for each row of its noise factor: the rank r
+    of the increment, 2 for heterodyne and 1 for local-iii at their optimal
+    gains. The draw is time-major, one step after another, however many
+    steps one product advances. n_traj and seed are integers, NumPy's
+    included; a float or a bool is rejected.
     """
 
     dt: float = 1e-2
@@ -66,6 +71,9 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 1.0 <= self.t_final / self.dt < np.inf:   # dt <= t_final, finite n_steps
             raise ValueError(f"t_final must be finite in dt steps and >= dt, got {self.t_final}")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError(f"t_final / dt must be at most {_MAX_STEPS} steps, "
+                             f"got {self.n_steps}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -151,12 +159,20 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     factor with r rows, r the rank of Q (2 for heterodyne and 1 for local-iii
     at their optimal gains, against 2N = 4), canonical and continuous in Q.
     Taking Q from Z keeps it accurate relative to its size when K is only
-    round-off. A row chunk holds a block's states and normals in a slab,
-    Y[k] = [X_k; xi_k], and takes a step as the one product X_{k+1} =
-    [Phi | R^T] Y[k] through the bound ``dot`` of that constant matrix; only
-    the kept window is stepped. Each block adds the upper triangle of its
-    per-trajectory Gram sum_k X_k X_k^T by n row products, row i from its
-    diagonal on, and the triangle is mirrored once at the end, so
+    round-off. The chain advances s steps per product of one s-step matrix
+    M_s, built once a call by s products: row block j, [Phi^j | Phi^{j-1}
+    R^T ... R^T | 0], maps [x_k; xi_k; ...; xi_{k+s-1}] to x_{k+j}. s is
+    ``_FOLD`` for up to ``_FOLD_ROWS`` trajectories, where a product's call
+    overhead dominates, and 1, M_1 = [Phi | R^T], for more, where the
+    products are flop-bound and the fold would slow the Gram. A row chunk
+    holds a block's states and normals in a slab,
+    [x_0; xi_0..xi_{s-1}; x_1..x_s; xi_s..xi_{2s-1}; x_{s+1}..x_{2s}; ...],
+    so a group of s steps reads one contiguous row range and writes the
+    next, in one ``M_s.dot``; a last group of m < s steps uses the prefix
+    M_s[:m n, :n + m r]. Only the kept window is stepped. Each block adds
+    the upper triangle of its per-trajectory Gram sum_k x_k x_k^T by n row
+    products over the slab's (groups, s, n, rows) view of its states, row i
+    from its diagonal on, and the triangle is mirrored once at the end, so
     ``outer_by_traj`` is exactly symmetric. Even row chunks of up to
     ``_ROWS`` trajectories each draw from one SFC64 stream, seeded by a
     SeedSequence spawn key: the start normals, then time-major increments in
@@ -182,7 +198,18 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     Phi = _expm(cfg.dt * A_cl)
     K = V @ C.T + Gamma.T + BF
     Z = lyapunov_steady(A_cl, K @ K.T).data
-    M = np.hstack((Phi, _psd_factor(Z - Phi @ Z @ Phi.T).T))   # the step matrix [Phi | R^T]
+    R_T = _psd_factor(Z - Phi @ Z @ Phi.T).T
+    # a row chunk is wider than _FOLD_ROWS exactly when n_traj is
+    s, r = (_FOLD if cfg.n_traj <= _FOLD_ROWS else 1), R_T.shape[1]
+    cols, P = n + s * r, s * (n + r)   # rows a group reads; rows per group in the slab
+    # The s-step matrix: row block j = [Phi^j | Phi^{j-1} R^T ... R^T | 0]
+    # maps [x_k; xi_k; ...; xi_{k+s-1}] to x_{k+j}; block 0 = [I | 0] seeds it.
+    M = np.zeros((s + 1, n, cols))
+    M[0, :, :n] = np.eye(n)
+    for j in range(1, s + 1):
+        M[j] = Phi @ M[j - 1]
+        M[j, :, n + (j - 1) * r:n + j * r] = R_T
+    M = M[1:].reshape(s * n, cols)
 
     # Even row chunks, so that none is a small remainder with a high per-row
     # step cost; the split depends on n_traj alone, and so do the streams.
@@ -198,22 +225,33 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     sum_xx = np.zeros((n, n, cfg.n_traj))   # sum_xx[i, j], j >= i: the Gram's upper triangle
     for start in range(k_burn, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
+        G, full = -(-b // s), b // s   # groups of s steps, the last one partial when b % s
+        m = b - (G - 1) * s            # steps in the last group
         for rng, lo, hi in chunks:
-            # Y[k] = [X_k^T; xi_k^T], so each step is the one product M Y[k].
-            Y = np.empty((b + 1, M.shape[1], hi - lo))
-            Y[0, :n] = X_all[lo:hi].T
-            xi = rng.standard_normal((b, hi - lo, M.shape[1] - n))
-            Y[:-1, n:] = xi.transpose(0, 2, 1)
-            for y, x in zip(Y[:-1], Y[1:, :n]):
+            # Y = [x_0; xi_0..xi_{s-1}; x_1..x_s; xi_s..xi_{2s-1}; ...]: group g
+            # maps its rows [gP, gP + cols) to the next s states, the rows after.
+            w = hi - lo
+            Y = np.empty((n + G * P, w))
+            Y[:n] = X_all[lo:hi].T
+            inputs = Y[:G * P].reshape(G, P, w)[:, :cols]
+            outputs = Y[n:].reshape(G, P, w)[:, s * r:]
+            XI = inputs[:, n:].reshape(G, s, r, w)
+            X = outputs.reshape(G, s, n, w)   # X[g, k] = x_{gs+k+1}
+            xi = rng.standard_normal((b, w, r))
+            XI[:full] = xi[:full * s].reshape(full, s, w, r).transpose(0, 1, 3, 2)
+            XI[full:, :b % s] = xi[full * s:].transpose(0, 2, 1)
+            for y, x in zip(inputs[:-1], outputs[:-1]):
                 M.dot(y, out=x)
-            X = Y[1:, :n]
-            if not np.abs(X[-1]).max() <= _DIVERGENCE_LIMIT:
-                bad = lo + int(np.abs(X[-1]).max(axis=0).argmax())
+            M[:m * n, :n + m * r].dot(inputs[-1, :n + m * r], out=outputs[-1, :m * n])
+            X[-1, m:] = 0   # the last group's unstepped slots add nothing to the Gram
+            x = X[-1, m - 1]
+            if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
+                bad = lo + int(np.abs(x).max(axis=0).argmax())
                 raise TrajectoryDivergenceError(
                     f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
-            X_all[lo:hi] = X[-1].T
+            X_all[lo:hi] = x.T
             for i in range(n):   # row i of the block's Gram, from its diagonal on
-                sum_xx[i, i:, lo:hi] += np.einsum("kjr,kr->jr", X[:, i:], X[:, i])
+                sum_xx[i, i:, lo:hi] += np.einsum("gkjw,gkw->jw", X[:, :, i:], X[:, :, i])
     for i in range(n):   # mirror the triangle once
         sum_xx[i + 1:, i] = sum_xx[i, i + 1:]
     outer_by = sum_xx.transpose(2, 0, 1) / (n_steps - k_burn)

@@ -205,6 +205,13 @@ class TestVerify:
         assert result.exit_code == 2
         assert "t_final must be finite" in result.output
 
+    def test_step_cap_rejected(self, runner):
+        # 10^15 steps of 1e-3 would run for years: an argument error
+        result = runner.invoke(main, ["verify", "--chi", "0.3", "--dt", "1e-3",
+                                      "--horizon", "1e12", "--ntraj", "2"])
+        assert result.exit_code == 2
+        assert "at most 100000000 steps" in result.output
+
     def test_held_covariance_certified_once(self, runner, monkeypatch):
         # the simulator certifies the covariance it holds, and verify prints
         # that certificate: one Riccati residual and one filter-gap eigensolve

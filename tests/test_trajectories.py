@@ -14,7 +14,8 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
                     simulate_conditional)
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
-from entlqg.trajectories import _BLOCK, _BURN_IN, _ROWS, _chunk_rng, _psd_factor
+from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_STEPS, _ROWS,
+                                 _chunk_rng, _psd_factor)
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_certificate, riccati_map
 from oracles import (anti_stabilizing_solution, exact_mean_outer_se, exact_reference,
                      expm_by_eig, increment_by_eig, means_rhs, rk4_step)
@@ -203,26 +204,36 @@ class TestConditionalCovariance:
 
 
 class TestMeanRecursion:
-    @pytest.mark.parametrize("scheme, t_final", [
-        (SchemeId.LOCAL_III, 6.0), (SchemeId.HETERODYNE, 6.0), (SchemeId.HETERODYNE, 12.0)],
-        ids=["False", "heterodyne", "heterodyne-three-blocks"])
-    def test_matches_per_step_exact_reference(self, scheme, t_final):
+    @pytest.mark.parametrize("scheme, t_final, n_traj, groups", [
+        (SchemeId.LOCAL_III, 6.0, 7, (37, 4)), (SchemeId.HETERODYNE, 6.0, 7, (37, 4)),
+        (SchemeId.HETERODYNE, 12.0, 7, (75, 0)), (SchemeId.HETERODYNE, 0.1, 7, (0, 5)),
+        (SchemeId.HETERODYNE, 10.1, 7, (63, 1)),
+        (SchemeId.HETERODYNE, 6.0, _FOLD_ROWS + 1, (37, 4))],
+        ids=["False", "heterodyne", "heterodyne-three-blocks", "heterodyne-short-of-one-group",
+             "heterodyne-last-group-of-one", "heterodyne-one-step-per-product"])
+    def test_matches_per_step_exact_reference(self, scheme, t_final, n_traj, groups):
         # 600 steps: the 300 kept steps are one full block and a partial one.
         # Over 1200 steps, the 600 kept steps are two full blocks and a partial
-        # one, so one step matrix is reused across block boundaries. The step
-        # matrix [Phi | R^T] has r = 1 (local-iii) and 2 (heterodyne) noise
-        # columns.
+        # one, so one step matrix is reused across block boundaries. Over 10
+        # steps, the 5 kept steps are less than one group of _FOLD, stepped by
+        # a prefix of the s-step matrix alone; over 1010 steps, the 505 kept
+        # steps end in 31 full groups and a group of 1. groups is (full
+        # groups, steps left over) on the kept window. A chunk wider than
+        # _FOLD_ROWS takes one step per product instead. The step matrix has
+        # r = 1 (local-iii) and 2 (heterodyne) noise columns per step.
         p = NopoParams(0.25)
         plant = build_plant(p)
         u, gain = scheme_realization(p, optimize_scheme(p, scheme))
-        cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=7, seed=13)
+        cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=n_traj, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
+        assert divmod(n_steps - k_burn, _FOLD) == groups
         v0 = conditional_V(p, scheme)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
         refs = exact_reference(plant, u, gain, cfg, v0)
-        # measured: 3.0e-14 local-iii and 2.1e-14 heterodyne (2.6e-14 over
-        # 1200 steps), the simulator's own round-off (the reference moves by
+        # measured: 3.2e-14 local-iii and 2.4e-14 heterodyne (3.1e-14 over
+        # 1200 steps, 1.5e-14 over 10, 3.0e-14 over 1010 and 2.4e-14 one step per
+        # product), the simulator's own round-off (the reference moves by
         # 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -533,6 +544,11 @@ class TestValidation:
             SimConfig(t_final=1e-5, dt=1e-3)
         with pytest.raises(ValueError, match="finite"):   # t_final / dt overflows
             SimConfig(dt=1e-300, t_final=1e300)
+        # a step count a float holds can still run for years: capped
+        assert SimConfig(dt=1.0, t_final=float(_MAX_STEPS)).n_steps == _MAX_STEPS
+        for t_final in (_MAX_STEPS + 1.0, 1e12):
+            with pytest.raises(ValueError, match=f"at most {_MAX_STEPS} steps"):
+                SimConfig(dt=1.0, t_final=t_final)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(t_final=bad)
