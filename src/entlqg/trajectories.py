@@ -32,6 +32,7 @@ _FOLD_ROWS = 128          # the widest row chunk that folds; a wider one takes a
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
 _DIVERGENCE_LIMIT = 1e6
 _MAX_STEPS = 10**8        # steps on the horizon grid: 2000x the longest run in tests and perfbench
+_MAX_TRAJ = 10**6         # 250x the largest ensemble in tests; bounds memory, not run time
 _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 _RELAX_STEP = 2.56        # step of the exact Riccati flow that relaxes a start off its fixed point
 
@@ -53,7 +54,8 @@ class SimConfig:
     of the increment, 2 for heterodyne and 1 for local-iii at their optimal
     gains. The draw is time-major, one step after another, however many
     steps one product advances. n_traj and seed are integers, NumPy's
-    included; a float or a bool is rejected.
+    included; a float or a bool is rejected. n_traj is at most
+    ``_MAX_TRAJ``, which bounds the run's memory, not its run time.
     """
 
     dt: float = 1e-2
@@ -76,6 +78,8 @@ class SimConfig:
                              f"got {self.n_steps}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
+        if self.n_traj > _MAX_TRAJ:
+            raise ValueError(f"n_traj must be at most {_MAX_TRAJ} trajectories, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -3,7 +3,6 @@
 Each oracle's docstring names the ``entlqg`` function it checks and why it is independent."""
 
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -180,29 +179,12 @@ def brute_force_spectrum(V):
     return np.sort(np.abs(np.linalg.eigvals(1j * S @ V)))
 
 
-class TwoModeBlocks(NamedTuple):
-    """2x2 blocks of a two-mode covariance matrix: per-mode gamma1/gamma2 and cross sigma."""
-
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    sigma: np.ndarray
-
-
-def two_mode_blocks(V):
-    """Exact 2x2 block extraction of a two-mode covariance matrix."""
-    if V.n_modes != 2:
-        raise ValueError("two_mode_blocks requires a two-mode state")
-    m = V.data
-    return TwoModeBlocks(gamma1=m[:2, :2].copy(), gamma2=m[2:, 2:].copy(),
-                         sigma=m[:2, 2:].copy())
-
-
 def determinant_symplectic_eigenvalues(V):
     """Checks symplectic_eigenvalues: (larger, smaller) from block determinants, no eigen-solve."""
     # closed form valid for the symmetric family det(gamma1) == det(gamma2)
-    b = two_mode_blocks(V)
-    u = float(np.linalg.det(b.gamma1) + np.linalg.det(b.sigma))
-    root = np.sqrt(max(u * u - float(np.linalg.det(V.data)), 0.0))
+    m = V.data
+    u = float(np.linalg.det(m[:2, :2]) + np.linalg.det(m[:2, 2:]))
+    root = np.sqrt(max(u * u - float(np.linalg.det(m)), 0.0))
     return float(np.sqrt(u + root)), float(np.sqrt(max(u - root, 0.0)))
 
 

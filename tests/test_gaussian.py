@@ -5,8 +5,7 @@ from entlqg import (CovarianceMatrix, NopoParams, UnphysicalStateError, epr_vari
                     is_physical, log_negativity, open_loop_V, partial_transpose,
                     symmetric_family_W, symplectic_eigenvalues, symplectic_form,
                     von_neumann_entropy)
-from oracles import (brute_force_spectrum, determinant_symplectic_eigenvalues,
-                     open_loop_matrix, two_mode_blocks)
+from oracles import brute_force_spectrum, determinant_symplectic_eigenvalues, open_loop_matrix
 
 LOG2_1P5 = 0.5849625007211562      # log2(1.5)
 HALF_LOG2_3 = 0.7924812503605781   # (1/2) log2(3)
@@ -166,26 +165,6 @@ class TestEprVariance:
         assert max(values) - min(values) <= 1e-10
 
 
-class TestTwoModeBlocks:
-    def test_open_loop_blocks(self):
-        blocks = two_mode_blocks(CovarianceMatrix(open_loop_matrix(0.25)))
-        assert np.allclose(blocks.gamma1, np.diag([2 / 3, 2 / 3]), atol=1e-15)
-        assert np.allclose(blocks.gamma2, np.diag([2 / 3, 2 / 3]), atol=1e-15)
-        assert np.allclose(blocks.sigma, np.diag([1 / 3, -1 / 3]), atol=1e-15)
-
-    def test_vacuum(self):
-        blocks = two_mode_blocks(CovarianceMatrix(np.eye(4) / 2))
-        assert np.array_equal(blocks.gamma1, np.eye(2) / 2)
-        assert np.array_equal(blocks.sigma, np.zeros((2, 2)))
-
-    def test_roundtrip_bit_identical(self):
-        rng = np.random.default_rng(1)
-        V = CovarianceMatrix(np.eye(4) + 0.2 * rng.normal(size=(4, 4)))
-        b = two_mode_blocks(V)
-        rebuilt = CovarianceMatrix(np.block([[b.gamma1, b.sigma], [b.sigma.T, b.gamma2]]))
-        assert np.array_equal(rebuilt.data, V.data)
-
-
 class TestInvariants:
     def test_physicality_matches_spectrum_on_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -247,5 +226,3 @@ class TestCovarianceMatrix:
             log_negativity(one_mode)
         with pytest.raises(ValueError):
             epr_variance(one_mode, 0.0)
-        with pytest.raises(ValueError):
-            two_mode_blocks(CovarianceMatrix(np.eye(6) / 2))

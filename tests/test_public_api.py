@@ -1,4 +1,5 @@
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -37,3 +38,39 @@ def test_no_test_body_is_written_twice():
                 owners[ast.dump(ast.Module(body=body, type_ignores=[]))].append(
                     f"{path.name}::{node.name}")
     assert [names for names in owners.values() if len(names) > 1] == []
+
+
+def test_every_oracle_has_a_caller():
+    # an oracle is reached from a test module, or from an oracle that is
+    here = Path(__file__).parent
+    defs = {node.name: node for node in ast.parse((here / "oracles.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    def names(tree):
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+    reached = set().union(*(names(ast.parse(path.read_text()))
+                            for path in here.glob("test_*.py"))) & defs.keys()
+    todo = list(reached)
+    while todo:
+        found = names(defs[todo.pop()]) & defs.keys() - reached
+        reached |= found
+        todo += found
+    assert sorted(defs.keys() - reached) == []
+
+
+def test_readme_names_existing_tests():
+    # each test_*.py::Name[::name] that README.md names is a class or function there
+    here = Path(__file__).parent
+    refs = re.findall(r"(test_\w+\.py)::(\w+)(?:::(\w+))?",
+                      (here.parent / "README.md").read_text())
+    assert refs
+    missing = []
+    for module, name, member in refs:
+        top = {node.name: node for node in ast.parse((here / module).read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        members = {node.name for node in getattr(top.get(name), "body", [])
+                   if isinstance(node, ast.FunctionDef)}
+        if name not in top or (member and member not in members):
+            missing.append("::".join(filter(None, (module, name, member))))
+    assert missing == []

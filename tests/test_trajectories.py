@@ -14,8 +14,8 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
                     simulate_conditional)
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
-from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_STEPS, _ROWS,
-                                 _chunk_rng, _psd_factor)
+from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_STEPS, _MAX_TRAJ,
+                                 _ROWS, _chunk_rng, _psd_factor)
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_certificate, riccati_map
 from oracles import (anti_stabilizing_solution, exact_mean_outer_se, exact_reference,
                      expm_by_eig, increment_by_eig, means_rhs, rk4_step)
@@ -549,6 +549,11 @@ class TestValidation:
         for t_final in (_MAX_STEPS + 1.0, 1e12):
             with pytest.raises(ValueError, match=f"at most {_MAX_STEPS} steps"):
                 SimConfig(dt=1.0, t_final=t_final)
+        # so can an ensemble too large to hold: capped
+        assert SimConfig(n_traj=_MAX_TRAJ).n_traj == _MAX_TRAJ
+        for n_traj in (_MAX_TRAJ + 1, 10**30):
+            with pytest.raises(ValueError, match=f"at most {_MAX_TRAJ} trajectories"):
+                SimConfig(n_traj=n_traj)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(t_final=bad)
