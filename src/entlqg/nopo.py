@@ -46,6 +46,8 @@ GOLDEN_TOL = 1e-9
 # A parameter value of exactly 0 is returned whenever zero feedback attains
 # the maximum within this tolerance (flat objectives).
 ZERO_SNAP_TOL = 1e-10
+# Grid points of scheme_curves: all seven schemes take ~40 s at the cap.
+_MAX_CURVE_STEPS = 10**3
 
 
 @dataclass(frozen=True)
@@ -363,6 +365,8 @@ def scheme_curves(chi_min: float, chi_max: float, steps: int,
                          f"[{chi_min}, {chi_max}]")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > _MAX_CURVE_STEPS:
+        raise ValueError(f"steps must be at most {_MAX_CURVE_STEPS}, got {steps}")
     grid = np.linspace(chi_min, chi_max, steps) if steps > 1 else np.array([chi_min])
     order = {s: i for i, s in enumerate(SchemeId)}
     ordered = sorted(schemes, key=order.__getitem__)

@@ -32,7 +32,8 @@ _FOLD_ROWS = 128          # the widest row chunk that folds; a wider one takes a
 _ROWS = 256               # trajectories advanced together; bounds memory in n_traj
 _DIVERGENCE_LIMIT = 1e6
 _MAX_STEPS = 10**8        # steps on the horizon grid: 2000x the longest run in tests and perfbench
-_MAX_TRAJ = 10**6         # 250x the largest ensemble in tests; bounds memory, not run time
+_MAX_TRAJ = 10**6         # 250x the largest ensemble in tests; bounds memory
+_MAX_KEPT = 10**11        # n_traj x kept steps: about an hour of stepping; bounds run time
 _BURN_IN = 0.5            # fraction of the horizon left out of the statistics
 _RELAX_STEP = 2.56        # step of the exact Riccati flow that relaxes a start off its fixed point
 
@@ -55,7 +56,8 @@ class SimConfig:
     gains. The draw is time-major, one step after another, however many
     steps one product advances. n_traj and seed are integers, NumPy's
     included; a float or a bool is rejected. n_traj is at most
-    ``_MAX_TRAJ``, which bounds the run's memory, not its run time.
+    ``_MAX_TRAJ``, which bounds the run's memory, and n_traj times the kept
+    steps at most ``_MAX_KEPT``, which bounds its run time.
     """
 
     dt: float = 1e-2
@@ -80,6 +82,10 @@ class SimConfig:
             raise ValueError("n_traj must be >= 1")
         if self.n_traj > _MAX_TRAJ:
             raise ValueError(f"n_traj must be at most {_MAX_TRAJ} trajectories, got {self.n_traj}")
+        kept = self.n_traj * (self.n_steps - int(_BURN_IN * self.n_steps))
+        if kept > _MAX_KEPT:
+            raise ValueError(f"n_traj times the kept steps must be at most {_MAX_KEPT} "
+                             f"trajectory-steps, got {kept}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -9,7 +9,7 @@ import numpy as np
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams, SchemeId,
                     diffusion_matrix, drift_matrix, heterodyne_closed_form_V, log_negativity,
                     lyapunov_steady, measurement_model, optimal_nonlocal_alpha_beta,
-                    riccati_rhs, symplectic_form)
+                    symplectic_form)
 from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng, _psd_factor
 
 CHI_GRID = np.round(np.linspace(0.05, 0.45, 9), 10)
@@ -211,34 +211,13 @@ def increment_by_eig(A_cl, K, dt):
     return (E @ (Einv @ K @ K.T @ Einv.T * np.expm1(s * dt) / s) @ E.T).real
 
 
-def means_rhs(A, D, meas, gain, held):
-    """dV/dt = riccati_rhs(V) (zero when held) and dZ/dt = A_cl Z + Z A_cl^T + K K^T."""
-    C, Gamma = meas.C, meas.Gamma
-    A_cl = A + gain.BF @ C
-
-    def rhs(S):
-        V, Z = S
-        K = V @ C.T + Gamma.T + gain.BF
-        dV = np.zeros_like(V) if held else riccati_rhs(A, D, C, Gamma, V)
-        return np.stack([dV, A_cl @ Z + Z @ A_cl.T + K @ K.T])
-    return rhs
-
-
-def _rk4_moment(rhs, V, Z, t):
-    """The second moment Z of the means after t, by RK4 of the joint (V, Z) equations."""
-    S = np.stack([V, Z])
-    for _ in range(RK4_SUBSTEPS):
-        S = rk4_step(rhs, S, t / RK4_SUBSTEPS)
-    return S[1]
-
-
 def exact_reference(plant, u, gain, cfg, v0):
     """Checks simulate_conditional's means: stepped on its own draws with increments from RK4.
 
     The covariance is held at ``v0``. The increment covariance Q is the Z
-    that RK4 of the joint (V, Z) equations reaches from (v0, 0) over dt, not
-    the closed-loop identity the simulator uses. The means start at the end
-    of the burn-in in the chain's stationary law (Smith doubling), then
+    that RK4 of dZ/dt = A_cl Z + Z A_cl^T + K K^T reaches from 0 over dt,
+    not the Lyapunov difference the simulator uses. The means start at the
+    end of the burn-in in the chain's stationary law (Smith doubling), then
     X <- e^{A_cl dt} X + xi R. The start and each step draw r normals
     through the simulator's ``_psd_factor`` of the reference's own Z and Q:
     a deterministic map, as the stream convention is. All trajectories fit
@@ -248,12 +227,16 @@ def exact_reference(plant, u, gain, cfg, v0):
     assert cfg.n_traj <= _ROWS
     n_steps, dt = cfg.n_steps, cfg.dt
     k_burn = int(_BURN_IN * n_steps)
-    A, D = drift_matrix(plant), diffusion_matrix(plant)
     meas = measurement_model(plant, u)
-    Phi_cl = expm_by_eig(dt * (A + gain.BF @ meas.C))
+    A_cl = drift_matrix(plant) + gain.BF @ meas.C
+    Phi_cl = expm_by_eig(dt * A_cl)
     V = v0.data
     n = len(V)
-    Q = _rk4_moment(means_rhs(A, D, meas, gain, held=True), V, np.zeros((n, n)), dt)
+    K = V @ meas.C.T + meas.Gamma.T + gain.BF
+    KKt = K @ K.T
+    Q = np.zeros((n, n))
+    for _ in range(RK4_SUBSTEPS):
+        Q = rk4_step(lambda Z: A_cl @ Z + Z @ A_cl.T + KKt, Q, dt / RK4_SUBSTEPS)
     rng = _chunk_rng(cfg.seed, 0)
     F, R = _psd_factor(smith_stationary(Phi_cl, Q)), _psd_factor(Q)
     X = rng.normal(size=(cfg.n_traj, len(F))) @ F

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from entlqg import SchemeId, unravelling
-from entlqg.cli import CHI_MAX, CSV_COLUMNS, fmt12, main, run
+from entlqg import (InvalidUnravellingError, NoStableSolutionError, RecoveryError, SchemeId,
+                    TrajectoryDivergenceError, simulate_conditional, unravelling)
+from entlqg.cli import CHI_MAX, CSV_COLUMNS, _label_row, fmt12, main, run
 from oracles import DOMAIN_CHIS
 
 
@@ -123,9 +125,21 @@ class TestCurves:
         assert result.exit_code == 2
         assert "steps must be >= 1" in result.output
 
+    def test_step_cap_rejected(self, runner):
+        # 10^12 grid points would not fit in memory, and 10^8 would run for
+        # weeks: an argument error, not a traceback with the exit code of a failed check
+        result = runner.invoke(main, ["curves", "--steps", "1000000000000"])
+        assert result.exit_code == 2
+        assert "steps must be at most 1000, got 1000000000000" in result.output
+
     def test_unknown_scheme(self, runner):
         result = runner.invoke(main, ["curves", "--schemes", "bogus"])
         assert result.exit_code == 2
+
+    def test_empty_scheme_list(self, runner):
+        result = runner.invoke(main, ["curves", "--schemes", ","])
+        assert result.exit_code == 2
+        assert "no schemes given" in result.output
 
 
 class TestOptimize:
@@ -207,11 +221,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("args, message", [
         (["--dt", "1e-3", "--horizon", "1e12", "--ntraj", "2"], "at most 100000000 steps"),
-        (["--ntraj", "1000000000000"], "at most 1000000 trajectories")],
-        ids=["steps", "trajectories"])
-    def test_step_cap_rejected(self, runner, args, message):
-        # 10^15 steps of 1e-3 would run for years, and 10^12 trajectories
-        # would not fit in memory: an argument error
+        (["--ntraj", "1000000000000"], "at most 1000000 trajectories"),
+        (["--ntraj", "1000000", "--dt", "1e-3", "--horizon", "1e5"],
+         "at most 100000000000 trajectory-steps")],
+        ids=["steps", "trajectories", "kept-work"])
+    def test_step_cap_rejected(self, runner, monkeypatch, args, message):
+        # 10^15 steps of 1e-3 would run for years, 10^12 trajectories would
+        # not fit in memory, and 10^6 trajectories over 5 * 10^7 kept steps
+        # would run for weeks: an argument error. A run let through fails at
+        # once instead.
+        monkeypatch.setattr("entlqg.cli.simulate_conditional", None)
         result = runner.invoke(main, ["verify", "--chi", "0.3", *args])
         assert result.exit_code == 2
         assert message in result.output
@@ -260,6 +279,43 @@ class TestVerify:
                                       "--ntraj", "100", "--dt", "0.005",
                                       "--horizon", "40", "--seed", "3"])
         assert result.exit_code == 0, result.output
+
+    def test_failed_check_exits_1(self, runner, monkeypatch):
+        # statistics a unit off the closed loop's steady state fail the
+        # decomposition check; the report still prints in full
+        def off(*args, **kwargs):
+            stats = simulate_conditional(*args, **kwargs)
+            return dataclasses.replace(stats, v_unconditional=stats.v_unconditional + 1.0)
+
+        monkeypatch.setattr("entlqg.cli.simulate_conditional", off)
+        result = runner.invoke(main, ["verify", "--chi", "0.3", "--ntraj", "16"])
+        assert result.exit_code == 1
+        assert "[FAIL] covariance decomposition" in result.output
+        assert result.output.endswith("some checks FAILED\n")
+
+    def test_divergence_exits_4(self, runner, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise TrajectoryDivergenceError("trajectory 3 diverged by step 556", trajectory=3)
+
+        monkeypatch.setattr("entlqg.cli.simulate_conditional", diverged)
+        result = runner.invoke(main, ["verify", "--chi", "0.3", "--ntraj", "16"])
+        assert result.exit_code == 4
+        assert result.stderr == "error: trajectory 3 diverged by step 556 (trajectory 3)\n"
+        assert result.stdout == ""
+
+    def test_library_error_exits_1_through_the_console_script(self, monkeypatch, capsys):
+        # an EntlqgError that no command handles ends the console script with
+        # exit code 1 and one line on stderr, as README documents
+        def not_stabilizing(*args, **kwargs):
+            raise NoStableSolutionError("Riccati fixed point not stabilizing, gap 1.000e-01")
+
+        monkeypatch.setattr("entlqg.cli.simulate_conditional", not_stabilizing)
+        monkeypatch.setattr(sys, "argv", ["entlqg", "verify", "--chi", "0.3", "--ntraj", "16"])
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: Riccati fixed point not stabilizing, gap 1.000e-01\n")
 
 
 class TestVerifyNearThreshold:
@@ -315,6 +371,24 @@ class TestRecover:
         for line in result.output.splitlines():
             if "recovery residual" in line:
                 assert float(line.split("=")[1]) <= 1e-8
+
+    @pytest.mark.parametrize("error", [RecoveryError, InvalidUnravellingError])
+    def test_recovery_failure_exits_5(self, runner, monkeypatch, error):
+        def failed(*args, **kwargs):
+            raise error("residual 1.0e-03 above tolerance")
+
+        monkeypatch.setattr("entlqg.cli.recover_unravelling", failed)
+        result = runner.invoke(main, ["recover", "--chi", "0.25"])
+        assert result.exit_code == 5
+        assert result.stderr == "error: recovery failed: residual 1.0e-03 above tolerance\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("row, label", [
+        (np.zeros(4), "(no signal)"),
+        (np.array([1.0, 1.0, 0, 0]), "(mixed quadratures)")], ids=["no-signal", "mixed"])
+    def test_rows_without_a_named_quadrature(self, row, label):
+        # a row of C that measures nothing, or q1 + p1, which no label names
+        assert _label_row(row) == label
 
 
 class TestDomainSweep:

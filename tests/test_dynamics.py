@@ -114,3 +114,9 @@ class TestPlantModel:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             PlantModel(G=np.zeros((4, 4)), Ctilde=np.zeros((2, 6), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["non-square", "odd"])
+    def test_hamiltonian_matrix_square_and_even(self, shape):
+        # one q and one p per mode: a G of any other shape has no modes
+        with pytest.raises(ValueError, match="G must be square with even size"):
+            PlantModel(G=np.zeros(shape), Ctilde=np.zeros((1, shape[1]), dtype=complex))

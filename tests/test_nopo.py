@@ -3,17 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams,
-                    SchemeId, StabilityError, build_plant, closed_loop,
-                    closed_loop_for_scheme, conditional_V, cost_matrix, diffusion_matrix,
-                    drift_matrix, epr_variance, heterodyne_closed_form_V, heterodyne_gain,
-                    heterodyne_optimal_mu, heterodyne_stable, homodyne_closed_form_V,
-                    homodyne_gain, lmi_feasible, log_negativity, lyapunov_steady,
+from entlqg import (CHI_MAX, HETERODYNE, JOINT_HOMODYNE, NopoParams, SchemeId, StabilityError,
+                    build_plant, closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
+                    diffusion_matrix, drift_matrix, epr_variance, heterodyne_closed_form_V,
+                    heterodyne_gain, heterodyne_optimal_mu, heterodyne_stable,
+                    homodyne_closed_form_V, lmi_feasible, log_negativity, lyapunov_steady,
                     measurement_model, open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
                     optimize_scheme, recover_unravelling, riccati_steady, scheme_curves,
                     scheme_realization, symmetric_family_W, von_neumann_entropy)
 from entlqg.dynamics import HURWITZ_TOL
-from entlqg.nopo import EDGE_MARGIN
+from entlqg.nopo import _MAX_CURVE_STEPS, EDGE_MARGIN
 from entlqg.unravelling import riccati_certificate
 from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
                      expanded_homodyne_V, grid_maximizer, grid_minimizer,
@@ -113,11 +112,6 @@ class TestOptimalNonlocal:
         assert r.L == pytest.approx(0.0, abs=1e-12)
         assert f"{r.L:.12g}" == "0"
 
-    def test_near_threshold_unbounded_growth(self):
-        r = optimal_nonlocal(NopoParams(0.45))
-        assert r.L == pytest.approx(-np.log2(0.1), abs=1e-9)
-        assert r.L == pytest.approx(3.321928094887362, abs=1e-9)
-
     @pytest.mark.parametrize("chi", DOMAIN_CHIS)
     def test_closed_form_over_whole_domain(self, chi):
         r = optimize_scheme(NopoParams(chi), SchemeId.NONLOCAL)
@@ -196,20 +190,6 @@ class TestHomodyneClosedForm:
         with pytest.raises(StabilityError):
             homodyne_closed_form_V(NopoParams(0.25), 0.2, 0.0)
 
-    def test_matches_lyapunov_solver(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            chi = rng.uniform(0.01, 0.45)
-            lp = rng.uniform(-0.5, 0.25 - chi / 2 - 1e-3)
-            lm = rng.uniform(-0.5, 0.25 + chi / 2 - 1e-3)
-            p = NopoParams(chi)
-            plant = build_plant(p)
-            loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
-                               homodyne_gain(lp, lm),
-                               measurement_model(plant, HOMODYNE_Q))
-            V = lyapunov_steady(loop.A_prime, loop.D_prime)
-            assert np.max(np.abs(V.data - homodyne_closed_form_V(p, lp, lm).data)) <= 1e-10
-
 
 class TestClosedFormsExact:
     """The factored closed forms against the expanded ones in exact arithmetic,
@@ -255,14 +235,6 @@ class TestHeterodyneClosedForm:
         V = lyapunov_steady(loop.A_prime, loop.D_prime)
         assert np.max(np.abs(V.data - heterodyne_closed_form_V(p, mu).data)) <= 1e-10
 
-    def test_generic_point_both_oracles(self):
-        p = NopoParams(0.1)
-        plant = build_plant(p)
-        loop = closed_loop(drift_matrix(plant), diffusion_matrix(plant),
-                           heterodyne_gain(-0.05), measurement_model(plant, HETERODYNE))
-        V = lyapunov_steady(loop.A_prime, loop.D_prime)
-        assert np.max(np.abs(V.data - heterodyne_closed_form_V(p, -0.05).data)) <= 1e-10
-
     def test_unstable_mu_rejected(self):
         with pytest.raises(StabilityError):
             heterodyne_closed_form_V(NopoParams(0.25), 0.3)
@@ -305,13 +277,6 @@ class TestOptimizeScheme:
         assert abs(r3.L - r4.L) <= 1e-9
         assert r4.S <= 1e-8
         assert r3.S > 0.01
-
-    def test_heterodyne_optimum(self):
-        r = optimize_scheme(NopoParams(0.25), SchemeId.HETERODYNE)
-        assert r.params["mu"] == pytest.approx(-0.190983006, abs=1e-6)
-        none = optimize_scheme(NopoParams(0.25), SchemeId.NONE)
-        iii = optimize_scheme(NopoParams(0.25), SchemeId.LOCAL_III)
-        assert none.L < r.L < iii.L
 
     def test_symmetric_combination_scheme_is_flat(self):
         # Feedback on the antisqueezed combination leaves the entanglement
@@ -397,6 +362,9 @@ class TestSchemeCurves:
             scheme_curves(0.4, 0.1, 3)
         with pytest.raises(ValueError):
             scheme_curves(0.0, 0.3, 0)
+        # each grid point is an optimization per scheme: capped
+        with pytest.raises(ValueError, match=f"steps must be at most {_MAX_CURVE_STEPS}"):
+            scheme_curves(0.0, 0.3, _MAX_CURVE_STEPS + 1)
 
 
 class TestEprBound:

@@ -14,11 +14,11 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
                     simulate_conditional)
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
-from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_STEPS, _MAX_TRAJ,
-                                 _ROWS, _chunk_rng, _psd_factor)
+from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_KEPT, _MAX_STEPS,
+                                 _MAX_TRAJ, _ROWS, _chunk_rng, _psd_factor)
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_certificate, riccati_map
 from oracles import (anti_stabilizing_solution, exact_mean_outer_se, exact_reference,
-                     expm_by_eig, increment_by_eig, means_rhs, rk4_step)
+                     expm_by_eig, increment_by_eig)
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
 
@@ -33,16 +33,6 @@ def zero_gain_run():
     plant = build_plant(NopoParams(0.25))
     cfg = SimConfig(dt=5e-3, t_final=40.0, n_traj=300, seed=11)
     return simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg, v0=q_homodyne_W(0.25))
-
-
-@pytest.fixture(scope="module")
-def optimal_run():
-    p = NopoParams(0.3)
-    plant = build_plant(p)
-    u, gain = scheme_realization(p, optimal_nonlocal(p))
-    cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=200, seed=5)
-    stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
-    return plant, u, stats
 
 
 class TestDeterminism:
@@ -81,11 +71,6 @@ class TestDeterminism:
 
 
 class TestConditionalCovariance:
-    def test_stays_on_riccati_fixed_point(self, optimal_run):
-        plant, u, stats = optimal_run
-        W = riccati_steady(plant, u)
-        assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
-
     def test_fixed_point_start_is_kept_exactly(self):
         p = NopoParams(0.25)
         plant = build_plant(p)
@@ -125,15 +110,6 @@ class TestConditionalCovariance:
         assert np.max(np.abs(finals[0] - finals[1])) <= 1e-9
         assert np.max(np.abs(finals[1] - finals[2])) <= 1e-9
 
-    def test_custom_start_converges(self):
-        p = NopoParams(0.25)
-        plant = build_plant(p)
-        cfg = SimConfig(dt=2e-3, t_final=60.0, n_traj=1, seed=0)
-        stats = simulate_conditional(plant, HOMODYNE_Q, ZERO_GAIN, cfg,
-                                     v0=open_loop_V(p))
-        W = riccati_steady(plant, HOMODYNE_Q)
-        assert np.max(np.abs(stats.v_c_final.data - W.data)) <= 1e-6
-
     @pytest.mark.parametrize("u, scheme", [(HOMODYNE_Q, SchemeId.NONE),
                                            (HETERODYNE, SchemeId.HETERODYNE),
                                            (JOINT_HOMODYNE, SchemeId.NONLOCAL)],
@@ -164,6 +140,16 @@ class TestConditionalCovariance:
         v0 = CovarianceMatrix(anti_stabilizing_solution(plant, HETERODYNE))
         with pytest.raises(NoStableSolutionError, match="not stabilizing"):
             simulate_conditional(plant, HETERODYNE, ZERO_GAIN, cfg, v0=v0)
+
+    def test_nan_start_rejected(self, monkeypatch):
+        # a NaN residual meets no stop rule: the relaxation ends at once, not
+        # after its step limit, which is cut to 3 maps so that a NaN stepped on
+        # would end with the other message
+        monkeypatch.setattr("entlqg.unravelling.RICCATI_MAX_STEPS", 3)
+        cfg = SimConfig(dt=0.5, t_final=2.0, n_traj=2, seed=0)
+        v0 = CovarianceMatrix(np.full((4, 4), np.nan))
+        with pytest.raises(NoStableSolutionError, match="^Riccati relaxation diverged$"):
+            simulate_conditional(build_plant(NopoParams(0.3)), HETERODYNE, ZERO_GAIN, cfg, v0=v0)
 
     @pytest.mark.parametrize("scheme", [SchemeId.HETERODYNE, SchemeId.LOCAL_III,
                                         SchemeId.LOCAL_IV])
@@ -239,28 +225,6 @@ class TestMeanRecursion:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the Gram's upper triangle is mirrored, not summed twice
         assert np.array_equal(stats.outer_by_traj, stats.outer_by_traj.swapaxes(1, 2))
-
-    def test_means_law_is_unconditional_minus_conditional(self):
-        # Z(t) = V_pred + e^{A_cl t} (v0 - V_pred) e^{A_cl^T t} - V_c(t): the
-        # unconditional state follows the Lyapunov flow of closed_loop toward
-        # V_pred, against RK4 of the joint (V_c, Z) equations from (v0, 0)
-        p = NopoParams(0.3)
-        plant = build_plant(p)
-        u, gain = scheme_realization(p, optimize_scheme(p, SchemeId.HETERODYNE))
-        A, D = drift_matrix(plant), diffusion_matrix(plant)
-        meas = measurement_model(plant, u)
-        loop = closed_loop(A, D, gain, meas)
-        V_pred = lyapunov_steady(loop.A_prime, loop.D_prime).data
-        v0 = open_loop_V(p).data
-        rhs = means_rhs(A, D, meas, gain, held=False)
-        S = np.stack([v0, np.zeros_like(v0)])
-        for k in range(1, 3001):
-            S = rk4_step(rhs, S, 1e-3)
-            if k % 500 == 0:
-                P = expm_by_eig(k * 1e-3 * loop.A_prime)
-                Z = V_pred + P @ (v0 - V_pred) @ P.T - S[0]
-                assert np.max(np.abs(S[1] - Z)) <= 1e-12 * np.max(np.abs(S[1]))
-        assert np.max(np.abs(S[0] - v0)) > 1e-2   # a real transient
 
     @pytest.mark.parametrize("scheme, moving, rank", [
         (None, False, 4), (None, True, 4),
@@ -456,12 +420,6 @@ class TestUnconditionalDecomposition:
         V = CovarianceMatrix(zero_gain_run.v_unconditional)
         assert is_physical(V, tol=1e-6)  # Monte-Carlo tolerance
 
-    def test_optimal_gain_recovers_conditional(self, optimal_run):
-        plant, u, stats = optimal_run
-        W = riccati_steady(plant, u)
-        tol = 5.0 * stats.mean_outer_sem() + MC_FLOOR
-        assert np.all(np.abs(stats.v_unconditional - W.data) <= tol)
-
     def test_scheme_gain_matches_closed_loop_lyapunov(self):
         p = NopoParams(0.25)
         result = optimize_scheme(p, SchemeId.LOCAL_III)
@@ -492,24 +450,7 @@ class TestUnconditionalDecomposition:
         assert np.max(np.abs(stats.mean_outer)) > 1e-2   # the noise drives the means
 
 
-class TestMeanRegulation:
-    def test_mean_outer_near_zero(self, optimal_run):
-        _, _, stats = optimal_run
-        tol = 4.0 * stats.mean_outer_sem() + MC_FLOOR
-        assert np.all(np.abs(stats.mean_outer) <= tol)
-
-
 class TestRegulationCost:
-    def test_optimal_scheme_cost(self):
-        p = NopoParams(0.25)
-        plant = build_plant(p)
-        u, gain = scheme_realization(p, optimal_nonlocal(p))
-        cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=100, seed=21)
-        stats = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))
-        cost = regulation_cost(stats, cost_matrix())
-        tol = 3.0 * regulation_cost_sem(stats, cost_matrix()) + MC_FLOOR
-        assert abs(cost - 0.5) <= tol
-
     def test_zero_gain_cost(self, zero_gain_run):
         cost = regulation_cost(zero_gain_run, cost_matrix())
         sem = regulation_cost_sem(zero_gain_run, cost_matrix())
@@ -554,6 +495,11 @@ class TestValidation:
         for n_traj in (_MAX_TRAJ + 1, 10**30):
             with pytest.raises(ValueError, match=f"at most {_MAX_TRAJ} trajectories"):
                 SimConfig(n_traj=n_traj)
+        # and so can a run within both caps: the kept work n_traj x (n_steps -
+        # k_burn) is capped too, and the longest horizon keeps 5e7 steps
+        assert SimConfig(dt=1.0, t_final=float(_MAX_STEPS), n_traj=2000).n_traj == 2000
+        with pytest.raises(ValueError, match=f"at most {_MAX_KEPT} trajectory-steps"):
+            SimConfig(dt=1.0, t_final=float(_MAX_STEPS), n_traj=2001)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(t_final=bad)
@@ -565,6 +511,11 @@ class TestValidation:
                 SimConfig(**bad)
         cfg = SimConfig(n_traj=np.int64(2), seed=np.uint64(2**64 - 1))
         assert type(cfg.n_traj) is int and type(cfg.seed) is int
+
+    def test_seed_outside_64_bits_rejected(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+                SimConfig(seed=seed)
 
     def test_one_trajectory_has_no_standard_error(self):
         # an SE of exactly zero would collapse every k-SE check to its floor

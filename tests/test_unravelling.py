@@ -50,6 +50,10 @@ class TestUMatrix:
         u = Unravelling(np.array([[0.0, 0.4], [0.2, 0.0]], dtype=complex))
         assert u.upsilon[0, 1] == pytest.approx(0.3)
 
+    def test_non_square_upsilon_rejected(self):
+        with pytest.raises(ValueError, match="upsilon must be square"):
+            Unravelling(np.zeros((2, 3), dtype=complex))
+
 
 class TestCbar:
     def test_nopo_printed_matrix(self):
