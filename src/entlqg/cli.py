@@ -377,7 +377,7 @@ for command in (main, *main.commands.values()):   # click caches its --help opti
 def run():  # console-script entry point
     try:
         main(standalone_mode=True)
-    except EntlqgError as exc:  # pragma: no cover - top-level safety net
+    except EntlqgError as exc:   # top-level safety net
         click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
 

@@ -4,9 +4,12 @@ The conditional covariance is deterministic and held on a fixed point of its
 Riccati equation for the whole run; a start off the fixed point is first
 relaxed to it along the exact Riccati flow. The conditional means follow a
 linear SDE driven by the measurement noise. They start in its stationary law
-and take its exact step at any dt. In steady state the unconditional
-covariance decomposes as the conditional covariance plus the ensemble second
-moment of the means, which is what the statistics returned here verify.
+and take its exact step at any dt, in coordinates of the range of that law,
+which they never leave: at most 2 of the 4 phase-space dimensions at the
+optimal gain of every scheme of the two-mode oscillator. In steady state the
+unconditional covariance decomposes as the conditional covariance plus the
+ensemble second moment of the means, which is what the statistics returned
+here verify.
 """
 
 from __future__ import annotations
@@ -161,36 +164,46 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     W, which ``v_c_final`` then equals.
 
     Conditional means follow d<x> = A_cl <x> dt + K dw, with A_cl = A + BF C
-    and K = V_c C^T + Gamma^T + BF. They start in their stationary law
-    Z = lyapunov_steady(A_cl, K K^T) at t_b = ``_BURN_IN`` * t_final, through
-    ``_psd_factor(Z)``, and take the exact step x <- Phi x + R^T xi,
-    Phi = e^{A_cl dt}, at any dt, with R^T R = Q = Z - Phi Z Phi^T and xi one
-    standard normal per row of R. R is ``_psd_factor(Q)``, a pivoted Cholesky
-    factor with r rows, r the rank of Q (2 for heterodyne and 1 for local-iii
-    at their optimal gains, against 2N = 4), canonical and continuous in Q.
-    Taking Q from Z keeps it accurate relative to its size when K is only
-    round-off. The chain advances s steps per product of one s-step matrix
-    M_s, built once a call by s products: row block j, [Phi^j | Phi^{j-1}
-    R^T ... R^T | 0], maps [x_k; xi_k; ...; xi_{k+s-1}] to x_{k+j}. s is
+    and K = V_c C^T + Gamma^T + BF. Their stationary law is Z =
+    lyapunov_steady(A_cl, K K^T), whose range, the controllable subspace of
+    (A_cl, K), is A_cl-invariant and holds every mean. With F =
+    ``_psd_factor(Z)``, B is the orthonormal n x d basis of range(Z) from
+    the QR factorization of F^T, d = len(F): at most 2 at the optimal gain
+    of every scheme of the two-mode oscillator (1 for local-iii up to chi
+    0.45), 2N = 4 at zero gain, and 0 when K is exactly zero. The chain
+    steps the coordinates z of x = B z. They start at t_b = ``_BURN_IN`` *
+    t_final in their law, as xi F B, and take the exact step z <- Phi_z z +
+    R_z^T xi at any dt: Phi_z = e^{B^T A_cl B dt}, exact because range(Z)
+    is invariant, and R_z^T = B^T R^T, with R^T R = Q = Z - Phi Z Phi^T,
+    Phi = e^{A_cl dt}, and xi one standard normal per row of R. R is
+    ``_psd_factor(Q)``, a pivoted Cholesky factor with r rows, r the rank
+    of Q (2 for heterodyne and 1 for local-iii at their optimal gains),
+    canonical and continuous in Q. Taking Q from Z keeps it accurate
+    relative to its size when K is only round-off. The chain advances s
+    steps per product of one (s d) x (d + s r) step matrix M_s, built once
+    a call by s products: row block j, [Phi_z^j | Phi_z^{j-1} R_z^T ...
+    R_z^T | 0], maps [z_k; xi_k; ...; xi_{k+s-1}] to z_{k+j}. s is
     ``_FOLD`` for up to ``_FOLD_ROWS`` trajectories, where a product's call
-    overhead dominates, and 1, M_1 = [Phi | R^T], for more, where the
+    overhead dominates, and 1, M_1 = [Phi_z | R_z^T], for more, where the
     products are flop-bound and the fold would slow the Gram. A row chunk
-    holds a block's states and normals in a slab,
-    [x_0; xi_0..xi_{s-1}; x_1..x_s; xi_s..xi_{2s-1}; x_{s+1}..x_{2s}; ...],
-    so a group of s steps reads one contiguous row range and writes the
-    next, in one ``M_s.dot``; a last group of m < s steps uses the prefix
-    M_s[:m n, :n + m r]. Only the kept window is stepped. Each block adds
-    the upper triangle of its per-trajectory Gram sum_k x_k x_k^T by n row
-    products over the slab's (groups, s, n, rows) view of its states, row i
-    from its diagonal on, and the triangle is mirrored once at the end, so
-    ``outer_by_traj`` is exactly symmetric. Even row chunks of up to
-    ``_ROWS`` trajectories each draw from one SFC64 stream, seeded by a
-    SeedSequence spawn key: the start normals, then time-major increments in
-    ``_BLOCK``-step blocks, bit-identical to one draw over the window, and
-    nothing when K is exactly zero, which leaves every aggregate exactly
-    zero. A run is bit-identical for the same seed and ensemble size; peak
-    memory does not grow with the horizon. Divergence is reported at its step
-    on the full horizon grid.
+    holds a block's states and normals in a slab of P = s (d + r) rows per
+    group, [z_0; xi_0..xi_{s-1}; z_1..z_s; xi_s..xi_{2s-1}; z_{s+1}..z_{2s};
+    ...], so a group of s steps reads one contiguous row range and writes
+    the next, in one ``M_s.dot``; a last group of m < s steps uses the
+    prefix M_s[:m d, :d + m r]. Only the kept window is stepped. Each block
+    adds the d (d + 1) / 2 entries of the upper triangle of its
+    per-trajectory Gram sum_k z_k z_k^T by d row products over the slab's
+    (groups, s, d, rows) view of its states, row i from its diagonal on.
+    The triangle is mirrored once at the end, and the Gram G_z mapped back
+    once, as B G_z B^T, symmetrized so that ``outer_by_traj`` is exactly
+    symmetric. Even row chunks of up to ``_ROWS`` trajectories each draw
+    from one SFC64 stream, seeded by a SeedSequence spawn key: the start
+    normals, then time-major increments in ``_BLOCK``-step blocks,
+    bit-identical to one draw over the window, and nothing when K is
+    exactly zero, which leaves every aggregate exactly zero. A run is
+    bit-identical for the same seed and ensemble size; peak memory does not
+    grow with the horizon. Divergence of x = B z is checked once a block and
+    reported at its step on the full horizon grid.
     """
     A = drift_matrix(plant)
     D = diffusion_matrix(plant)
@@ -204,22 +217,28 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     V, cert = _stabilizing_fixed_point(A, D, C, Gamma, v0.data, _RELAX_STEP)
     n_steps = cfg.n_steps
     k_burn = int(_BURN_IN * n_steps)
-    n = A.shape[0]
     Phi = _expm(cfg.dt * A_cl)
     K = V @ C.T + Gamma.T + BF
     Z = lyapunov_steady(A_cl, K @ K.T).data
-    R_T = _psd_factor(Z - Phi @ Z @ Phi.T).T
+    F = _psd_factor(Z)
+    # The means x = B z stay in range(Z), which A_cl maps into itself: the
+    # chain steps their d coordinates z in the orthonormal basis B.
+    B = np.linalg.qr(F.T)[0]
+    d = B.shape[1]
+    A_z = B.T @ A_cl @ B
+    Phi_z = _expm(cfg.dt * A_z) if d else A_z   # d = 0 when K = 0: nothing to step
+    R_T = B.T @ _psd_factor(Z - Phi @ Z @ Phi.T).T
     # a row chunk is wider than _FOLD_ROWS exactly when n_traj is
     s, r = (_FOLD if cfg.n_traj <= _FOLD_ROWS else 1), R_T.shape[1]
-    cols, P = n + s * r, s * (n + r)   # rows a group reads; rows per group in the slab
-    # The s-step matrix: row block j = [Phi^j | Phi^{j-1} R^T ... R^T | 0]
-    # maps [x_k; xi_k; ...; xi_{k+s-1}] to x_{k+j}; block 0 = [I | 0] seeds it.
-    M = np.zeros((s + 1, n, cols))
-    M[0, :, :n] = np.eye(n)
+    cols, P = d + s * r, s * (d + r)   # rows a group reads; rows per group in the slab
+    # The s-step matrix: row block j = [Phi_z^j | Phi_z^{j-1} R_z^T ... R_z^T | 0]
+    # maps [z_k; xi_k; ...; xi_{k+s-1}] to z_{k+j}; block 0 = [I | 0] seeds it.
+    M = np.zeros((s + 1, d, cols))
+    M[0, :, :d] = np.eye(d)
     for j in range(1, s + 1):
-        M[j] = Phi @ M[j - 1]
-        M[j, :, n + (j - 1) * r:n + j * r] = R_T
-    M = M[1:].reshape(s * n, cols)
+        M[j] = Phi_z @ M[j - 1]
+        M[j, :, d + (j - 1) * r:d + j * r] = R_T
+    M = M[1:].reshape(s * d, cols)
 
     # Even row chunks, so that none is a small remainder with a high per-row
     # step cost; the split depends on n_traj alone, and so do the streams.
@@ -228,43 +247,44 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     if not np.any(K):
         edges = [0]   # no noise reaches the means: they stay exactly zero
     chunks = [(_chunk_rng(cfg.seed, c), *e) for c, e in enumerate(zip(edges, edges[1:]))]
-    X_all = np.zeros((cfg.n_traj, n))
-    F = _psd_factor(Z)
+    z_all = np.zeros((cfg.n_traj, d))
     for rng, lo, hi in chunks:   # the start, in N(0, Z) at t_b
-        X_all[lo:hi] = rng.standard_normal((hi - lo, len(F))) @ F
-    sum_xx = np.zeros((n, n, cfg.n_traj))   # sum_xx[i, j], j >= i: the Gram's upper triangle
+        z_all[lo:hi] = rng.standard_normal((hi - lo, d)) @ (F @ B)
+    sum_zz = np.zeros((d, d, cfg.n_traj))   # sum_zz[i, j], j >= i: the Gram's upper triangle
     for start in range(k_burn, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - start)
         G, full = -(-b // s), b // s   # groups of s steps, the last one partial when b % s
         m = b - (G - 1) * s            # steps in the last group
         for rng, lo, hi in chunks:
-            # Y = [x_0; xi_0..xi_{s-1}; x_1..x_s; xi_s..xi_{2s-1}; ...]: group g
+            # Y = [z_0; xi_0..xi_{s-1}; z_1..z_s; xi_s..xi_{2s-1}; ...]: group g
             # maps its rows [gP, gP + cols) to the next s states, the rows after.
             w = hi - lo
-            Y = np.empty((n + G * P, w))
-            Y[:n] = X_all[lo:hi].T
+            Y = np.empty((d + G * P, w))
+            Y[:d] = z_all[lo:hi].T
             inputs = Y[:G * P].reshape(G, P, w)[:, :cols]
-            outputs = Y[n:].reshape(G, P, w)[:, s * r:]
-            XI = inputs[:, n:].reshape(G, s, r, w)
-            X = outputs.reshape(G, s, n, w)   # X[g, k] = x_{gs+k+1}
+            outputs = Y[d:].reshape(G, P, w)[:, s * r:]
+            XI = inputs[:, d:].reshape(G, s, r, w)
+            X = outputs.reshape(G, s, d, w)   # X[g, k] = z_{gs+k+1}
             xi = rng.standard_normal((b, w, r))
             XI[:full] = xi[:full * s].reshape(full, s, w, r).transpose(0, 1, 3, 2)
             XI[full:, :b % s] = xi[full * s:].transpose(0, 2, 1)
             for y, x in zip(inputs[:-1], outputs[:-1]):
                 M.dot(y, out=x)
-            M[:m * n, :n + m * r].dot(inputs[-1, :n + m * r], out=outputs[-1, :m * n])
+            M[:m * d, :d + m * r].dot(inputs[-1, :d + m * r], out=outputs[-1, :m * d])
             X[-1, m:] = 0   # the last group's unstepped slots add nothing to the Gram
-            x = X[-1, m - 1]
-            if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
-                bad = lo + int(np.abs(x).max(axis=0).argmax())
+            z = X[-1, m - 1]
+            x = np.abs(B @ z)
+            if not x.max() <= _DIVERGENCE_LIMIT:
+                bad = lo + int(x.max(axis=0).argmax())
                 raise TrajectoryDivergenceError(
                     f"trajectory {bad} diverged by step {start + b}", trajectory=bad)
-            X_all[lo:hi] = x.T
-            for i in range(n):   # row i of the block's Gram, from its diagonal on
-                sum_xx[i, i:, lo:hi] += np.einsum("gkjw,gkw->jw", X[:, :, i:], X[:, :, i])
-    for i in range(n):   # mirror the triangle once
-        sum_xx[i + 1:, i] = sum_xx[i, i + 1:]
-    outer_by = sum_xx.transpose(2, 0, 1) / (n_steps - k_burn)
+            z_all[lo:hi] = z.T
+            for i in range(d):   # row i of the block's Gram, from its diagonal on
+                sum_zz[i, i:, lo:hi] += np.einsum("gkjw,gkw->jw", X[:, :, i:], X[:, :, i])
+    for i in range(d):   # mirror the triangle once
+        sum_zz[i + 1:, i] = sum_zz[i, i + 1:]
+    outer_by = B @ (sum_zz.transpose(2, 0, 1) / (n_steps - k_burn)) @ B.T
+    outer_by = 0.5 * (outer_by + outer_by.swapaxes(1, 2))   # exactly symmetric
 
     v_c_final = CovarianceMatrix(V)
     mean_outer = outer_by.mean(axis=0)

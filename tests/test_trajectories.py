@@ -18,7 +18,7 @@ from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_KEPT,
                                  _MAX_TRAJ, _ROWS, _chunk_rng, _psd_factor)
 from entlqg.unravelling import RICCATI_REL_TOL, riccati_certificate, riccati_map
 from oracles import (anti_stabilizing_solution, exact_mean_outer_se, exact_reference,
-                     expm_by_eig, increment_by_eig)
+                     expm_by_eig, increment_by_eig, smith_stationary)
 
 ZERO_GAIN = FeedbackGain(np.zeros((4, 4)))
 
@@ -194,9 +194,11 @@ class TestMeanRecursion:
         (SchemeId.LOCAL_III, 6.0, 7, (37, 4)), (SchemeId.HETERODYNE, 6.0, 7, (37, 4)),
         (SchemeId.HETERODYNE, 12.0, 7, (75, 0)), (SchemeId.HETERODYNE, 0.1, 7, (0, 5)),
         (SchemeId.HETERODYNE, 10.1, 7, (63, 1)),
-        (SchemeId.HETERODYNE, 6.0, _FOLD_ROWS + 1, (37, 4))],
+        (SchemeId.HETERODYNE, 6.0, _FOLD_ROWS + 1, (37, 4)), (None, 6.0, 7, (37, 4)),
+        (SchemeId.LOCAL_IV, 6.0, 7, (37, 4))],
         ids=["False", "heterodyne", "heterodyne-three-blocks", "heterodyne-short-of-one-group",
-             "heterodyne-last-group-of-one", "heterodyne-one-step-per-product"])
+             "heterodyne-last-group-of-one", "heterodyne-one-step-per-product",
+             "zero-gain-full-rank", "local-iv-round-off-noise"])
     def test_matches_per_step_exact_reference(self, scheme, t_final, n_traj, groups):
         # 600 steps: the 300 kept steps are one full block and a partial one.
         # Over 1200 steps, the 600 kept steps are two full blocks and a partial
@@ -206,21 +208,29 @@ class TestMeanRecursion:
         # steps end in 31 full groups and a group of 1. groups is (full
         # groups, steps left over) on the kept window. A chunk wider than
         # _FOLD_ROWS takes one step per product instead. The step matrix has
-        # r = 1 (local-iii) and 2 (heterodyne) noise columns per step.
+        # r = 1 (local-iii) and 2 (heterodyne) noise columns per step. The
+        # chain steps d coordinates of the range of the means' law: 1 for
+        # local-iii, 2 for heterodyne and for local-iv, whose noise
+        # coefficient is round-off (max|Z| ~ 1e-16), and all 4 at zero gain
+        # (scheme None: heterodyne detection, no feedback).
         p = NopoParams(0.25)
         plant = build_plant(p)
-        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        if scheme is None:
+            u, gain = HETERODYNE, ZERO_GAIN
+            v0 = conditional_V(p, SchemeId.HETERODYNE)
+        else:
+            u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+            v0 = conditional_V(p, scheme)
         cfg = SimConfig(dt=1e-2, t_final=t_final, n_traj=n_traj, seed=13)
         n_steps, k_burn = cfg.n_steps, int(_BURN_IN * cfg.n_steps)
         assert n_steps % _BLOCK and k_burn % _BLOCK
         assert divmod(n_steps - k_burn, _FOLD) == groups
-        v0 = conditional_V(p, scheme)
         stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
         refs = exact_reference(plant, u, gain, cfg, v0)
-        # measured: 3.2e-14 local-iii and 2.4e-14 heterodyne (3.1e-14 over
-        # 1200 steps, 1.5e-14 over 10, 3.0e-14 over 1010 and 2.4e-14 one step per
-        # product), the simulator's own round-off (the reference moves by
-        # 5e-14 from 8 to 32 RK4 substeps)
+        # measured: 4.0e-14 local-iii and 6.2e-15 heterodyne (1.1e-14 over
+        # 1200 steps, 1.2e-14 over 10, 9.8e-15 over 1010, 1.1e-14 one step per
+        # product), 5.4e-14 at zero gain and 7.1e-14 local-iv, the simulator's
+        # own round-off (the reference moves by 5e-14 from 8 to 32 RK4 substeps)
         for got, ref in zip((stats.outer_by_traj, stats.v_c_final.data), refs):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the Gram's upper triangle is mirrored, not summed twice
@@ -363,6 +373,37 @@ class TestExactHeldChain:
                 # 0.5); the pivoted factor scales with Q, as sqrt(1 + 1e-14)
                 F_up = _psd_factor(Q * (1 + 1e-14))
                 assert np.max(np.abs(F_up - F)) <= 1e-13 * np.max(np.abs(F))
+
+    @pytest.mark.parametrize("chi", [0.05, 0.3, 0.45, 0.4999])
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_means_stay_in_the_range_of_their_law(self, scheme, chi):
+        # The simulator steps the means in a basis B of range(Z), which holds
+        # them only if A_cl maps it into itself and the increment Q lies in
+        # it; at the optimal gain of every scheme it has rank <= 2, half the
+        # phase space. Z, Q and B here come from the eigendecomposition
+        # oracles alone; B spans Z's eigenvalues above the relative 1e-12 clip
+        # of _psd_factor. Both parts outside the range are below 1e-12 of
+        # max|A_cl| and max|Q| (measured <= 2.3e-15, local-ii at chi 0.45,
+        # and <= 1.4e-13, local-iii at chi 0.3, both at dt 1e-3), except
+        # local-i at its window edge (chi >= 0.3 here), where the slowest
+        # closed-loop rate is -2e-6 and the Smith law misses lyapunov_steady
+        # by up to 1e-7 of max|Z| (dt 1e-3): below 1e-10 there (measured
+        # <= 4.5e-11 and <= 2.9e-11).
+        p = NopoParams(chi)
+        plant = build_plant(p)
+        u, gain = scheme_realization(p, optimize_scheme(p, scheme))
+        meas = measurement_model(plant, u)
+        A_cl = drift_matrix(plant) + gain.BF @ meas.C
+        K = conditional_V(p, scheme).data @ meas.C.T + meas.Gamma.T + gain.BF
+        tol = 1e-10 if scheme is SchemeId.LOCAL_I else 1e-12
+        for dt in (1e-3, 0.5):
+            Q = increment_by_eig(A_cl, K, dt)
+            w, E = np.linalg.eigh(smith_stationary(expm_by_eig(dt * A_cl), Q))
+            B = E[:, w > 1e-12 * w.max()]
+            assert B.shape[1] <= 2
+            out = np.eye(len(B)) - B @ B.T
+            assert np.max(np.abs(out @ A_cl @ B), initial=0) <= tol * np.max(np.abs(A_cl))
+            assert np.max(np.abs(out @ Q)) <= tol * np.max(np.abs(Q))
 
     @pytest.mark.parametrize("dt", [0.5, 1e-2])
     def test_held_heterodyne_run_matches_v_pred(self, dt):
