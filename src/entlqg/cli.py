@@ -80,12 +80,7 @@ def _json_meta(command: str, flags: dict) -> dict:
 
 
 def _record(result: SchemeResult) -> dict:
-    if result.scheme is SchemeId.NONE:
-        name, value = "none", 0.0
-    elif result.scheme is SchemeId.NONLOCAL:
-        name, value = "beta", result.params["beta"]
-    else:
-        (name, value), = result.params.items()
+    name, value = result.reported_param
     return {
         "chi": float(fmt12(result.chi)),
         "scheme": result.scheme.value,

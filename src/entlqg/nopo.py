@@ -3,11 +3,11 @@
 Two damped bosonic modes are coupled by a two-mode-squeezing interaction of
 dimensionless strength chi (cavity linewidth units); chi < 1/2 is the
 instability threshold. This module builds the plant and alone knows its
-schemes: their measurements, gains and stability windows, with one table
-(``_SCALAR_SCHEMES``) for the scalar ones. It gives closed forms for the
-stationary covariances of every scheme and for the conditional covariance
-each measurement leaves (``conditional_V``), takes heterodyne's optimum in closed
-form, scans the four local schemes' gains, and tabulates entanglement/entropy curves.
+seven schemes: one table (``_SCHEMES``) holds, per ``SchemeId``, its parameter
+x, measurement, stationary covariance V(p, x) and gain at x, the conditional
+covariance W its measurement sets (``conditional_V``), and its optimum rule: a
+scan of the stability window for the four local schemes, a closed form for
+heterodyne and nonlocal, x = 0 for ``none``. It also tabulates L and S curves.
 
 Every stationary state here has the symmetric two-block pattern
 V = [[gq,0,sq,0],[0,gp,0,sp],[sq,0,gq,0],[0,sp,0,gp]] and is written by its
@@ -91,6 +91,12 @@ class SchemeResult:
     m: float
     at_boundary: bool = False
 
+    @property
+    def reported_param(self) -> tuple[str, float]:
+        """(name, value) of the reported parameter: beta for nonlocal, ("none", 0.0) for none."""
+        name = _SCHEMES[self.scheme].param
+        return name or "none", self.params.get(name, 0.0)
+
 
 def build_plant(p: NopoParams) -> PlantModel:
     """Hamiltonian matrix with antidiagonal chi and one damping channel per mode."""
@@ -148,37 +154,20 @@ def _heterodyne_W(chi: float) -> CovarianceMatrix:
     return _epr_state(g + chi, g - chi, g - chi, g + chi)
 
 
-class _Family(NamedTuple):
-    """A measurement: parameter name, unravelling, stability bounds(chi), V(p, *g), gain(*g),
-    and W(chi), the stationary conditional covariance the measurement alone sets."""
-
-    param: str
-    unravelling: Unravelling
-    bounds: Callable[[float], tuple[float, float]]
-    V: Callable[..., CovarianceMatrix]
-    gain: Callable[..., FeedbackGain]
-    W: Callable[[float], CovarianceMatrix]
-
-
-# V and gain look their functions up in the module globals at each call.
-_HOMODYNE = _Family("lambda", HOMODYNE_Q, lambda chi: (0.25 - chi / 2, 0.25 + chi / 2),
-                    lambda p, *g: homodyne_closed_form_V(p, *g), lambda *g: homodyne_gain(*g),
-                    _homodyne_W)
-_HETERODYNE = _Family("mu", HETERODYNE, lambda chi: (-0.5 - chi, 0.5 - chi),
-                      lambda p, *g: heterodyne_closed_form_V(p, *g),
-                      lambda *g: heterodyne_gain(*g), _heterodyne_W)
+def _homodyne_window(chi: float) -> tuple[float, float]:
+    """Upper bounds of the homodyne stability window: lam_pm < 1/4 -/+ chi/2."""
+    return 0.25 - chi / 2, 0.25 + chi / 2
 
 
 def homodyne_stable(chi: float, lam_plus: float, lam_minus: float) -> bool:
-    """Closed-loop stability window of the homodyne scheme: lam_pm < 1/4 -/+ chi/2."""
-    plus_max, minus_max = _HOMODYNE.bounds(chi)
+    """Closed-loop stability window of the homodyne scheme (``_homodyne_window``)."""
+    plus_max, minus_max = _homodyne_window(chi)
     return lam_plus < plus_max and lam_minus < minus_max
 
 
 def heterodyne_stable(chi: float, mu: float) -> bool:
     """Closed-loop stability window of the heterodyne scheme: -1/2 - chi < mu < 1/2 - chi."""
-    lo, hi = _HETERODYNE.bounds(chi)
-    return lo < mu < hi
+    return -0.5 - chi < mu < 0.5 - chi
 
 
 def _epr_state(q_plus: float, q_minus: float, p_plus: float,
@@ -286,17 +275,6 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return x, f(x)
 
 
-#: Each scalar scheme: its family, the family's gain arguments g(x) for its
-#: parameter x, and its scan window given the bounds b (None: closed-form optimum).
-_SCALAR_SCHEMES = {
-    SchemeId.LOCAL_I: (_HOMODYNE, lambda x: (x, x), lambda b: (SCAN_LO, b[0])),
-    SchemeId.LOCAL_II: (_HOMODYNE, lambda x: (x, 0.0), lambda b: (SCAN_LO, b[0])),
-    SchemeId.LOCAL_III: (_HOMODYNE, lambda x: (0.0, x), lambda b: (SCAN_LO, b[1])),
-    SchemeId.LOCAL_IV: (_HOMODYNE, lambda x: (x, -x), lambda b: (-b[1], b[0])),
-    SchemeId.HETERODYNE: (_HETERODYNE, lambda x: (x,), None),
-}
-
-
 def _scan_max(objective, lo: float, hi: float) -> tuple[float, bool]:
     """Maximizer of objective on the window (lo, hi), and whether it sits on the edge.
 
@@ -327,34 +305,71 @@ def _scan_max(objective, lo: float, hi: float) -> tuple[float, bool]:
     return x_star, at_boundary
 
 
-def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
-    """Maximize the entanglement of a scheme over its scalar parameter.
+class _Scheme(NamedTuple):
+    """A scheme's row: x is its parameter ``param`` (None: no feedback), V(p, x) its
+    stationary covariance and gain(p, x) its gain under ``unravelling``, W(chi) the
+    conditional covariance the measurement alone sets, optimum(p) x* and whether
+    it sits on the stability-window edge."""
 
-    Heterodyne takes its optimum in closed form (``heterodyne_optimal_mu``);
-    the four local schemes are scanned over their stability windows
-    (``_scan_max``), and carry ``at_boundary=True`` where the supremum is
-    not attained.
+    param: str | None
+    unravelling: Unravelling
+    V: Callable[[NopoParams, float], CovarianceMatrix]
+    gain: Callable[[NopoParams, float], FeedbackGain]
+    W: Callable[[float], CovarianceMatrix]
+    optimum: Callable[[NopoParams], tuple[float, bool]]
+
+
+def _local(g, window) -> _Scheme:
+    """q-homodyne with gain arguments g(x), scanned over window(*_homodyne_window(chi))."""
+    V = lambda p, x: homodyne_closed_form_V(p, *g(x))
+    return _Scheme("lambda", HOMODYNE_Q, V, lambda p, x: homodyne_gain(*g(x)), _homodyne_W,
+                   lambda p: _scan_max(lambda x: log_negativity(V(p, x)),
+                                       *window(*_homodyne_window(p.chi))))
+
+
+def _nonlocal_V(p: NopoParams, beta: float) -> CovarianceMatrix:
+    """The pure member of the symmetric family with cross correlation beta."""
+    return symmetric_family_W(0.5 * np.sqrt(1.0 + 4.0 * beta**2), beta)
+
+
+# Rows call the closed forms, gains and scan through the module globals at
+# each call, so a name rebound on this module reaches every scheme.
+_SCHEMES = {
+    SchemeId.NONLOCAL: _Scheme(
+        "beta", JOINT_HOMODYNE, _nonlocal_V,
+        lambda p, b: optimal_gain(_nonlocal_V(p, b),
+                                  measurement_model(build_plant(p), JOINT_HOMODYNE)),
+        lambda chi: symmetric_family_W(*optimal_nonlocal_alpha_beta(chi)),
+        lambda p: (optimal_nonlocal_alpha_beta(p.chi)[1], False)),
+    SchemeId.LOCAL_I: _local(lambda x: (x, x), lambda plus, minus: (SCAN_LO, plus)),
+    SchemeId.LOCAL_II: _local(lambda x: (x, 0.0), lambda plus, minus: (SCAN_LO, plus)),
+    SchemeId.LOCAL_III: _local(lambda x: (0.0, x), lambda plus, minus: (SCAN_LO, minus)),
+    SchemeId.LOCAL_IV: _local(lambda x: (x, -x), lambda plus, minus: (-minus, plus)),
+    SchemeId.HETERODYNE: _Scheme("mu", HETERODYNE, lambda p, x: heterodyne_closed_form_V(p, x),
+                                 lambda p, x: heterodyne_gain(x), _heterodyne_W,
+                                 lambda p: (heterodyne_optimal_mu(p.chi), False)),
+    SchemeId.NONE: _Scheme(None, HOMODYNE_Q, lambda p, x: open_loop_V(p),
+                           lambda p, x: homodyne_gain(x, x), _homodyne_W, lambda p: (0.0, False)),
+}
+
+
+def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
+    """Maximize the entanglement of a scheme over its parameter, by its row's optimum rule.
+
+    The four local schemes scan their stability windows (``_scan_max``) and
+    carry ``at_boundary=True`` where the supremum is not attained. Nonlocal
+    is ``optimal_nonlocal``, whose L, S and m are closed forms (the 4x4
+    route's L is 6e-7 off at ``CHI_MAX``).
     """
-    if scheme is SchemeId.NONE:
-        V = open_loop_V(p)
-        return SchemeResult(scheme=scheme, chi=p.chi, params={}, V=V,
-                            L=log_negativity(V), S=von_neumann_entropy(V),
-                            m=float(np.trace(cost_matrix() @ V.data)))
     if scheme is SchemeId.NONLOCAL:
         return optimal_nonlocal(p)
-
-    family, gains, window = _SCALAR_SCHEMES[scheme]
-    build = lambda x: family.V(p, *gains(x))
-    if window is None:
-        x_star, at_boundary = heterodyne_optimal_mu(p.chi), False
-    else:
-        x_star, at_boundary = _scan_max(lambda x: log_negativity(build(x)),
-                                        *window(family.bounds(p.chi)))
-    V = build(x_star)
-    return SchemeResult(scheme=scheme, chi=p.chi, params={family.param: float(x_star)},
+    row = _SCHEMES[scheme]
+    x, at_boundary = row.optimum(p)
+    V = row.V(p, x)
+    return SchemeResult(scheme=scheme, chi=p.chi,
+                        params={} if row.param is None else {row.param: float(x)},
                         V=V, L=log_negativity(V), S=von_neumann_entropy(V),
-                        m=float(np.trace(cost_matrix() @ V.data)),
-                        at_boundary=at_boundary)
+                        m=float(np.trace(cost_matrix() @ V.data)), at_boundary=at_boundary)
 
 
 def scheme_curves(chi_min: float, chi_max: float, steps: int,
@@ -376,14 +391,8 @@ def scheme_curves(chi_min: float, chi_max: float, steps: int,
 
 def scheme_realization(p: NopoParams, result: SchemeResult):
     """Unravelling and gain realizing a scheme result's stationary state."""
-    scheme = result.scheme
-    if scheme is SchemeId.NONE:
-        return HOMODYNE_Q, homodyne_gain(0.0, 0.0)
-    if scheme is SchemeId.NONLOCAL:
-        meas = measurement_model(build_plant(p), JOINT_HOMODYNE)
-        return JOINT_HOMODYNE, optimal_gain(result.V, meas)
-    family, gains, _ = _SCALAR_SCHEMES[scheme]
-    return family.unravelling, family.gain(*gains(result.params[family.param]))
+    row = _SCHEMES[result.scheme]
+    return row.unravelling, row.gain(p, result.reported_param[1])
 
 
 def conditional_V(p: NopoParams, scheme: SchemeId) -> CovarianceMatrix:
@@ -394,10 +403,7 @@ def conditional_V(p: NopoParams, scheme: SchemeId) -> CovarianceMatrix:
     state, and for ``nonlocal`` the optimum's V, which its gain makes the
     unconditional state too.
     """
-    if scheme is SchemeId.NONLOCAL:
-        return optimal_nonlocal(p).V
-    family = _HOMODYNE if scheme is SchemeId.NONE else _SCALAR_SCHEMES[scheme][0]
-    return family.W(p.chi)
+    return _SCHEMES[scheme].W(p.chi)
 
 
 def closed_loop_for_scheme(p: NopoParams, result: SchemeResult) -> ClosedLoop:

@@ -250,7 +250,10 @@ def recover_unravelling(W: CovarianceMatrix, plant: PlantModel) -> tuple[Unravel
     M = D + A @ W.data + W.data @ A.T
     M = 0.5 * (M + M.T)
     R = 2.0 * Cb @ W.data + S @ Cb @ Sig
-    Rp = np.linalg.pinv(R, rcond=1e-10)
+    with np.errstate(over="ignore", invalid="ignore"):   # a subnormal R: 1/s overflows
+        Rp = np.linalg.pinv(R, rcond=1e-10)
+    if not np.isfinite(Rp).all():
+        raise RecoveryError(f"pseudo-inverse of R overflows (max|R| = {np.max(np.abs(R)):.3e})")
 
     # Y of the block form U = (1/2)[[I+ReY, ImY], [ImY, I-ReY]]; Unravelling symmetrizes it.
     def structured(U):

@@ -8,8 +8,8 @@ import numpy as np
 
 from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, NopoParams, SchemeId,
                     diffusion_matrix, drift_matrix, heterodyne_closed_form_V, log_negativity,
-                    lyapunov_steady, measurement_model, optimal_nonlocal_alpha_beta,
-                    symplectic_form)
+                    lyapunov_steady, measurement_model, optimal_nonlocal_alpha_beta)
+from entlqg.gaussian import symplectic_form
 from entlqg.trajectories import _BURN_IN, _ROWS, _chunk_rng, _psd_factor
 
 CHI_GRID = np.round(np.linspace(0.05, 0.45, 9), 10)

@@ -3,16 +3,16 @@ tolerance and prints a PASS/FAIL line (run with -s to see them inline)."""
 
 import numpy as np
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix, NopoParams,
-                    SchemeId, build_plant, closed_loop, cost_matrix, diffusion_matrix,
-                    drift_matrix, heterodyne_closed_form_V, heterodyne_gain,
-                    heterodyne_stable, homodyne_closed_form_V, homodyne_gain,
-                    homodyne_stable, is_hurwitz, lmi_feasible, lyapunov_steady,
-                    measurement_model, optimal_gain, optimal_nonlocal,
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix, NopoParams, SchemeId,
+                    build_plant, closed_loop, cost_matrix, diffusion_matrix, drift_matrix,
+                    heterodyne_closed_form_V, homodyne_closed_form_V, lmi_feasible,
+                    lyapunov_steady, measurement_model, optimal_gain, optimal_nonlocal,
                     optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
-                    regulation_cost, regulation_cost_sem, riccati_steady,
-                    scheme_realization, simulate_conditional, symmetric_family_W,
-                    symplectic_eigenvalues, u_matrix, SimConfig)
+                    regulation_cost, regulation_cost_sem, riccati_steady, scheme_realization,
+                    simulate_conditional, symmetric_family_W, symplectic_eigenvalues, u_matrix,
+                    SimConfig)
+from entlqg.dynamics import is_hurwitz
+from entlqg.nopo import heterodyne_gain, heterodyne_stable, homodyne_gain, homodyne_stable
 from entlqg.cli import MC_FLOOR
 from oracles import (CHI_GRID, PRINTED_OPTIMAL_U, printed_heterodyne_loop,
                      printed_homodyne_loop)

@@ -383,6 +383,18 @@ class TestRecover:
         assert result.stderr == "error: recovery failed: residual 1.0e-03 above tolerance\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("chi", ["1e-310", "5e-324"])
+    def test_subnormal_coupling_exits_5(self, monkeypatch, capsys, chi):
+        # R ~ chi is subnormal here and its pseudo-inverse overflows: one error
+        # line and exit 5 through the console script, no NumPy traceback or warning
+        monkeypatch.setattr(sys, "argv", ["entlqg", "recover", "--chi", chi])
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: recovery failed: pseudo-inverse of R overflows")
+
     @pytest.mark.parametrize("row, label", [
         (np.zeros(4), "(no signal)"),
         (np.array([1.0, 1.0, 0, 0]), "(mixed quadratures)")], ids=["no-signal", "mixed"])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from entlqg import (NoStableSolutionError, NopoParams, PlantModel, build_plant,
-                    diffusion_matrix, drift_matrix, is_hurwitz, lyapunov_steady)
+from entlqg import (NoStableSolutionError, NopoParams, PlantModel, build_plant, diffusion_matrix,
+                    drift_matrix, lyapunov_steady)
+from entlqg.dynamics import is_hurwitz
 
 
 def nopo_drift(chi):

@@ -3,9 +3,10 @@ import pytest
 
 from entlqg import (HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain, MeasurementModel, NopoParams,
                     SchemeId, build_plant, closed_loop, conditional_V, diffusion_matrix,
-                    drift_matrix, heterodyne_gain, heterodyne_stable, homodyne_gain,
-                    homodyne_stable, is_hurwitz, lyapunov_steady, measurement_model,
-                    optimal_gain, symmetric_family_W)
+                    drift_matrix, lyapunov_steady, measurement_model, optimal_gain,
+                    symmetric_family_W)
+from entlqg.dynamics import is_hurwitz
+from entlqg.nopo import heterodyne_gain, heterodyne_stable, homodyne_gain, homodyne_stable
 from oracles import MEASUREMENTS
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from entlqg import (CovarianceMatrix, NopoParams, UnphysicalStateError, epr_variance,
-                    is_physical, log_negativity, open_loop_V, partial_transpose,
-                    symmetric_family_W, symplectic_eigenvalues, symplectic_form,
+from entlqg import (CovarianceMatrix, NopoParams, UnphysicalStateError, epr_variance, is_physical,
+                    log_negativity, open_loop_V, symmetric_family_W, symplectic_eigenvalues,
                     von_neumann_entropy)
+from entlqg.gaussian import partial_transpose, symplectic_form
 from oracles import brute_force_spectrum, determinant_symplectic_eigenvalues, open_loop_matrix
 
 LOG2_1P5 = 0.5849625007211562      # log2(1.5)

@@ -6,13 +6,14 @@ import pytest
 from entlqg import (CHI_MAX, HETERODYNE, JOINT_HOMODYNE, NopoParams, SchemeId, StabilityError,
                     build_plant, closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, epr_variance, heterodyne_closed_form_V,
-                    heterodyne_gain, heterodyne_optimal_mu, heterodyne_stable,
-                    homodyne_closed_form_V, lmi_feasible, log_negativity, lyapunov_steady,
-                    measurement_model, open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
-                    optimize_scheme, recover_unravelling, riccati_steady, scheme_curves,
-                    scheme_realization, symmetric_family_W, von_neumann_entropy)
+                    heterodyne_optimal_mu, homodyne_closed_form_V, lmi_feasible, log_negativity,
+                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal,
+                    optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
+                    riccati_steady, scheme_curves, scheme_realization, symmetric_family_W,
+                    von_neumann_entropy)
 from entlqg.dynamics import HURWITZ_TOL
-from entlqg.nopo import _MAX_CURVE_STEPS, EDGE_MARGIN
+from entlqg.nopo import (_MAX_CURVE_STEPS, _SCHEMES, EDGE_MARGIN, heterodyne_gain,
+                         heterodyne_stable)
 from entlqg.unravelling import riccati_certificate
 from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
                      expanded_homodyne_V, grid_maximizer, grid_minimizer,
@@ -315,6 +316,18 @@ class TestOptimizeScheme:
         r = optimize_scheme(p, SchemeId.NONE)
         assert np.array_equal(r.V.data, open_loop_V(p).data)
         assert r.params == {}
+
+    def test_every_scheme_is_one_row(self):
+        # a row's optimum rule and V(p, x) give the result's reported parameter
+        # and, bit for bit, its V: nonlocal's too, from whose V(p, beta)
+        # scheme_realization builds the optimal gain
+        p = NopoParams(0.3)
+        assert list(_SCHEMES) == list(SchemeId)
+        for scheme, row in _SCHEMES.items():
+            r = optimize_scheme(p, scheme)
+            x = row.optimum(p)[0]
+            assert r.reported_param == (row.param or "none", x)
+            assert np.array_equal(row.V(p, x).data, r.V.data)
 
     def test_zero_coupling_all_schemes_idle(self):
         p = NopoParams(0.0)

@@ -59,6 +59,22 @@ def test_every_oracle_has_a_caller():
     assert sorted(defs.keys() - reached) == []
 
 
+def test_every_public_name_has_a_user():
+    # a name stays in __all__ when the CLI, a demo or README uses it, when the
+    # benchmark reads it as entlqg.<name>, or when it is one of the types and
+    # errors that only the signatures of public functions name
+    root = Path(__file__).parent.parent
+    users = "".join(path.read_text() for path in (root / "src/entlqg/cli.py", root / "README.md",
+                                                  *sorted((root / "demos").glob("*.py"))))
+    bench = "".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    types = ("ClosedLoop", "LmiReport", "MeasurementModel", "NumericalError", "PlantModel",
+             "StabilityError", "UnphysicalStateError")
+    assert all(isinstance(getattr(entlqg, name), type) for name in types)
+    assert [name for name in entlqg.__all__ if name not in types
+            and not re.search(rf"\b{name}\b", users)
+            and not re.search(rf"\bentlqg\.{name}\b", bench)] == []
+
+
 def test_readme_names_existing_tests():
     # each test_*.py::Name[::name] that README.md names is a class or function there
     here = Path(__file__).parent

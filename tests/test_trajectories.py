@@ -7,11 +7,11 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
                     FeedbackGain, NoStableSolutionError, NopoParams, PlantModel, SchemeId,
                     SimConfig, StabilityError, TrajectoryDivergenceError, Unravelling, build_plant,
                     closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
-                    diffusion_matrix, drift_matrix, homodyne_gain, is_physical,
-                    lyapunov_steady, measurement_model, open_loop_V, optimal_gain,
-                    optimal_nonlocal, optimize_scheme, regulation_cost,
-                    regulation_cost_sem, riccati_steady, scheme_realization,
-                    simulate_conditional)
+                    diffusion_matrix, drift_matrix, is_physical, lyapunov_steady,
+                    measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
+                    optimize_scheme, regulation_cost, regulation_cost_sem, riccati_steady,
+                    scheme_realization, simulate_conditional)
+from entlqg.nopo import homodyne_gain
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
 from entlqg.trajectories import (_BLOCK, _BURN_IN, _FOLD, _FOLD_ROWS, _MAX_KEPT, _MAX_STEPS,
@@ -235,6 +235,23 @@ class TestMeanRecursion:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the Gram's upper triangle is mirrored, not summed twice
         assert np.array_equal(stats.outer_by_traj, stats.outer_by_traj.swapaxes(1, 2))
+
+    def test_local_i_slowest_chain_matches_exact_reference(self):
+        # local-i's optimum sits on its window edge (chi >= 0.2), so its chain
+        # is the slowest one (rate ~ -2e-6). At dt 0.1 the oracle's Smith
+        # doubling holds: measured 5.5e-11 (8.8e-11 at dt 0.5, 5.1e-11 at chi
+        # 0.45). At dt 1e-2 the two increments' round-off reorders _psd_factor's
+        # pivots, so the same law maps the draws to other paths (9.6e-4).
+        p = NopoParams(0.25)
+        result = optimize_scheme(p, SchemeId.LOCAL_I)
+        assert result.at_boundary
+        plant, (u, gain) = build_plant(p), scheme_realization(p, result)
+        cfg = SimConfig(dt=0.1, t_final=6.0, n_traj=7, seed=13)
+        v0 = conditional_V(p, SchemeId.LOCAL_I)
+        stats = simulate_conditional(plant, u, gain, cfg, v0=v0)
+        outer, V = exact_reference(plant, u, gain, cfg, v0)
+        assert np.max(np.abs(stats.outer_by_traj - outer)) <= 1e-9 * np.max(np.abs(outer))
+        assert np.array_equal(stats.v_c_final.data, V)
 
     @pytest.mark.parametrize("scheme, moving, rank", [
         (None, False, 4), (None, True, 4),

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain,
-                    InvalidUnravellingError, NoStableSolutionError, NopoParams,
-                    PlantModel, SimConfig, Unravelling, build_plant, diffusion_matrix,
-                    drift_matrix, lmi_feasible, lyapunov_steady, measurement_model,
-                    open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
-                    recover_unravelling, riccati_rhs, riccati_steady,
-                    simulate_conditional, symmetric_family_W, symplectic_form, u_matrix)
-from entlqg.gaussian import CovarianceMatrix
+from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain, InvalidUnravellingError,
+                    NoStableSolutionError, NopoParams, PlantModel, SimConfig, Unravelling,
+                    build_plant, diffusion_matrix, drift_matrix, lmi_feasible, lyapunov_steady,
+                    measurement_model, open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                    recover_unravelling, riccati_rhs, riccati_steady, simulate_conditional,
+                    symmetric_family_W, u_matrix)
+from entlqg.gaussian import CovarianceMatrix, symplectic_form
 from entlqg.unravelling import _cbar, riccati_certificate, riccati_map, riccati_propagator
 from oracles import PRINTED_OPTIMAL_U, anti_stabilizing_solution, rk4_relaxation, rk4_step
 
