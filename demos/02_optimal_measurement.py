@@ -9,9 +9,9 @@ quadrature combinations and solves the conditional Riccati equation for it.
 
 import numpy as np
 
-from entlqg import (NopoParams, build_plant, closed_loop,
+from entlqg import (NopoParams, SchemeId, build_plant, closed_loop,
                     diffusion_matrix, drift_matrix, lmi_feasible, lyapunov_steady,
-                    measurement_model, optimal_gain, optimal_nonlocal,
+                    measurement_model, optimal_gain, optimize_scheme,
                     recover_unravelling, riccati_steady, symplectic_eigenvalues,
                     u_matrix)
 
@@ -22,7 +22,7 @@ p = NopoParams(chi)
 plant = build_plant(p)
 
 # %% Closed-form optimum and its matrix-inequality margins --------------------
-result = optimal_nonlocal(p)
+result = optimize_scheme(p, SchemeId.NONLOCAL)
 alpha, beta = result.params["alpha"], result.params["beta"]
 print(f"chi = {chi}: optimal conditional covariance has alpha = {alpha}, "
       f"beta = {beta}")

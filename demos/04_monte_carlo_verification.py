@@ -13,7 +13,7 @@ import numpy as np
 
 from entlqg import (HOMODYNE_Q, FeedbackGain, NopoParams, SchemeId, SimConfig,
                     build_plant, conditional_V, cost_matrix, open_loop_V,
-                    optimal_nonlocal, regulation_cost, regulation_cost_sem,
+                    optimize_scheme, regulation_cost, regulation_cost_sem,
                     scheme_realization, simulate_conditional)
 
 np.set_printoptions(precision=6, suppress=True)
@@ -22,7 +22,7 @@ np.set_printoptions(precision=6, suppress=True)
 chi = 0.3
 p = NopoParams(chi)
 plant = build_plant(p)
-result = optimal_nonlocal(p)
+result = optimize_scheme(p, SchemeId.NONLOCAL)
 u, gain = scheme_realization(p, result)
 W = conditional_V(p, SchemeId.NONLOCAL)
 

@@ -17,10 +17,9 @@ from .unravelling import (LmiReport, MeasurementModel, Unravelling, lmi_feasible
                           riccati_steady, u_matrix)
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
 from .nopo import (CHI_MAX, CURVE_SCHEMES, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE,
-                   NopoParams, SchemeId, SchemeResult, build_plant,
-                   closed_loop_for_scheme, conditional_V, cost_matrix,
-                   heterodyne_closed_form_V, heterodyne_optimal_mu, homodyne_closed_form_V,
-                   open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
+                   NopoParams, SchemeId, SchemeResult, build_plant, closed_loop_for_scheme,
+                   conditional_V, cost_matrix, heterodyne_closed_form_V, heterodyne_optimal_mu,
+                   homodyne_closed_form_V, open_loop_V, optimal_nonlocal_alpha_beta,
                    optimize_scheme, scheme_curves, scheme_realization, symmetric_family_W)
 from .trajectories import (SimConfig, TrajectoryStats, regulation_cost,
                            regulation_cost_sem, simulate_conditional)
@@ -38,9 +37,8 @@ __all__ = [
     "cost_matrix", "diffusion_matrix", "drift_matrix", "epr_variance",
     "heterodyne_closed_form_V", "heterodyne_optimal_mu", "homodyne_closed_form_V",
     "is_physical", "lmi_feasible", "log_negativity", "lyapunov_steady",
-    "measurement_model", "open_loop_V", "optimal_gain", "optimal_nonlocal",
-    "optimal_nonlocal_alpha_beta", "optimize_scheme", "recover_unravelling",
-    "regulation_cost", "regulation_cost_sem", "riccati_rhs", "riccati_steady",
-    "scheme_curves", "scheme_realization", "simulate_conditional", "symmetric_family_W",
-    "symplectic_eigenvalues", "u_matrix", "von_neumann_entropy",
+    "measurement_model", "open_loop_V", "optimal_gain", "optimal_nonlocal_alpha_beta",
+    "optimize_scheme", "recover_unravelling", "regulation_cost", "regulation_cost_sem",
+    "riccati_rhs", "riccati_steady", "scheme_curves", "scheme_realization", "simulate_conditional",
+    "symmetric_family_W", "symplectic_eigenvalues", "u_matrix", "von_neumann_entropy",
 ]

@@ -19,11 +19,10 @@ from .dynamics import drift_matrix, diffusion_matrix, lyapunov_steady
 from .errors import (EntlqgError, InvalidUnravellingError, RecoveryError,
                      TrajectoryDivergenceError)
 from .feedback import closed_loop
-from .gaussian import epr_variance, log_negativity, von_neumann_entropy
+from .gaussian import epr_variance
 from .nopo import (CHI_MAX, CURVE_SCHEMES, NopoParams, SchemeId, SchemeResult,
                    build_plant, closed_loop_for_scheme, conditional_V, cost_matrix,
-                   open_loop_V, optimal_nonlocal, optimize_scheme, scheme_curves,
-                   scheme_realization)
+                   optimize_scheme, scheme_curves, scheme_realization)
 from .trajectories import SimConfig, regulation_cost, regulation_cost_sem, simulate_conditional
 # riccati_steady has no caller here; the benchmark's tracer binds
 # entlqg.cli.riccati_steady by name.
@@ -114,8 +113,8 @@ def model(chi: float, fmt: str):
     p = NopoParams(chi)
     plant = build_plant(p)
     A, D = drift_matrix(plant), diffusion_matrix(plant)
-    V = open_loop_V(p)
-    L, S = log_negativity(V), von_neumann_entropy(V)
+    open_loop = optimize_scheme(p, SchemeId.NONE)
+    V, L, S = open_loop.V, open_loop.L, open_loop.S
     epr = epr_variance(V, 0.0)
     if fmt == "json":
         doc = {
@@ -346,7 +345,7 @@ def recover(chi: float):
     """
     p = NopoParams(chi)
     plant = build_plant(p)
-    best = optimal_nonlocal(p)
+    best = optimize_scheme(p, SchemeId.NONLOCAL)
     try:
         u, residual = recover_unravelling(best.V, plant)
     except (RecoveryError, InvalidUnravellingError) as exc:

@@ -13,7 +13,9 @@ Every stationary state here has the symmetric two-block pattern
 V = [[gq,0,sq,0],[0,gp,0,sp],[sq,0,gq,0],[0,sp,0,gp]] and is written by its
 EPR-basis variances q+- = gq +- sq and p+- = gp +- sp, each a ratio of
 factors that stay positive inside the scheme's stability window, so no
-closed form cancels near threshold. The optimal scheme, joint homodyne
+closed form cancels near threshold. The state keeps them, and L, S and m are
+their products (``_EprState.figures``), not spectra of the 4x4 matrix, which
+lose up to ~1e-6 relative near threshold. The optimal scheme, joint homodyne
 detection of q1-q2 and p1+p2 (``JOINT_HOMODYNE``) with the optimal gain, is
 given by its closed form alone; recovering its measurement from the
 conditional covariance is a cross-check, not a step of the computation.
@@ -30,9 +32,9 @@ import numpy as np
 from .dynamics import PlantModel, drift_matrix, diffusion_matrix
 from .errors import StabilityError
 from .feedback import ClosedLoop, FeedbackGain, closed_loop, optimal_gain
-from .gaussian import CovarianceMatrix, log_negativity, von_neumann_entropy
-# recover_unravelling has no caller here; the benchmark's tracer binds
-# entlqg.nopo.recover_unravelling by name.
+# von_neumann_entropy and recover_unravelling have no caller here; the
+# benchmark's tracer binds entlqg.nopo.<name> by name.
+from .gaussian import CovarianceMatrix, _entropy_term, log_negativity, von_neumann_entropy
 from .unravelling import Unravelling, measurement_model, recover_unravelling
 
 CHI_MAX = 0.5 - 1e-6
@@ -170,13 +172,32 @@ def heterodyne_stable(chi: float, mu: float) -> bool:
     return -0.5 - chi < mu < 0.5 - chi
 
 
+@dataclass(frozen=True)
+class _EprState(CovarianceMatrix):
+    """A symmetric two-block V that keeps its EPR-basis variances epr = (q+, q-, p+, p-).
+
+    Its symplectic eigenvalues are sqrt(q+ p+) and sqrt(q- p-), the partial
+    transpose swaps p+ and p-, and m = tr(P V) = q- + p+ for P = ``cost_matrix()``.
+    """
+
+    epr: tuple[float, float, float, float]
+
+    def figures(self) -> tuple[float, float, float]:
+        """L, S and m, as products of the four variances."""
+        qp, qm, pp, pm = self.epr
+        nu_pt = min(np.sqrt(qp * pm), np.sqrt(qm * pp))
+        return (max(0.0, -float(np.log2(2.0 * nu_pt))),
+                _entropy_term(np.sqrt(qp * pp)) + _entropy_term(np.sqrt(qm * pm)),
+                float(qm + pp))
+
+
 def _epr_state(q_plus: float, q_minus: float, p_plus: float,
-               p_minus: float) -> CovarianceMatrix:
+               p_minus: float) -> _EprState:
     """Symmetric two-block V with EPR-basis variances q+- = gq +- sq, p+- = gp +- sp."""
     gq, sq = (q_plus + q_minus) / 2, (q_plus - q_minus) / 2
     gp, sp = (p_plus + p_minus) / 2, (p_plus - p_minus) / 2
-    return CovarianceMatrix(np.array([[gq, 0, sq, 0], [0, gp, 0, sp],
-                                      [sq, 0, gq, 0], [0, sp, 0, gp]]))
+    return _EprState(np.array([[gq, 0, sq, 0], [0, gp, 0, sp], [sq, 0, gq, 0], [0, sp, 0, gp]]),
+                     (q_plus, q_minus, p_plus, p_minus))
 
 
 def open_loop_V(p: NopoParams) -> CovarianceMatrix:
@@ -203,23 +224,11 @@ def symmetric_family_W(alpha: float, beta: float) -> CovarianceMatrix:
                                       [beta, 0, alpha, 0], [0, -beta, 0, alpha]]))
 
 
-def optimal_nonlocal(p: NopoParams) -> SchemeResult:
-    """Globally optimal scheme: joint homodyne of q1-q2 and p1+p2 with the optimal gain.
-
-    The stationary conditional covariance has the symmetric two-block
-    pattern with cross correlation beta = chi(1-chi)/(1-2chi) and
-    alpha = sqrt(1+4 beta^2)/2. It is pure (S = 0), its cost is
-    m = 2(alpha-beta) = 1-2chi and its entanglement is L = -log2(1-2chi),
-    all given here in closed form. ``JOINT_HOMODYNE`` generates it, and
-    ``scheme_realization`` pairs that measurement with ``optimal_gain``.
-    """
-    alpha, beta = optimal_nonlocal_alpha_beta(p.chi)
-    m = 1.0 - 2.0 * p.chi
-    return SchemeResult(
-        scheme=SchemeId.NONLOCAL, chi=p.chi,
-        params={"alpha": alpha, "beta": beta},
-        # abs: at chi = 0, -log2(1) is -0.0, which would print as -0.
-        V=symmetric_family_W(alpha, beta), L=abs(float(np.log2(m))), S=0.0, m=m)
+def _nonlocal_W(chi: float) -> _EprState:
+    """The optimum's W, ``symmetric_family_W``: q+ = p- = 1/(2(1-2chi)), q- = p+ = (1-2chi)/2."""
+    wide, narrow = 0.5 / (1 - 2 * chi), (1 - 2 * chi) / 2
+    return _EprState(symmetric_family_W(*optimal_nonlocal_alpha_beta(chi)).data,
+                     (wide, narrow, narrow, wide))
 
 
 def homodyne_closed_form_V(p: NopoParams, lam_plus: float,
@@ -308,15 +317,16 @@ def _scan_max(objective, lo: float, hi: float) -> tuple[float, bool]:
 class _Scheme(NamedTuple):
     """A scheme's row: x is its parameter ``param`` (None: no feedback), V(p, x) its
     stationary covariance and gain(p, x) its gain under ``unravelling``, W(chi) the
-    conditional covariance the measurement alone sets, optimum(p) x* and whether
-    it sits on the stability-window edge."""
+    conditional covariance its measurement alone sets, optimum(p) x* and whether it
+    sits on the stability-window edge, more(chi) the parameters reported before x."""
 
     param: str | None
     unravelling: Unravelling
-    V: Callable[[NopoParams, float], CovarianceMatrix]
+    V: Callable[[NopoParams, float], _EprState]
     gain: Callable[[NopoParams, float], FeedbackGain]
-    W: Callable[[float], CovarianceMatrix]
+    W: Callable[[float], _EprState]
     optimum: Callable[[NopoParams], tuple[float, bool]]
+    more: Callable[[float], dict[str, float]] = lambda chi: {}
 
 
 def _local(g, window) -> _Scheme:
@@ -327,20 +337,15 @@ def _local(g, window) -> _Scheme:
                                        *window(*_homodyne_window(p.chi))))
 
 
-def _nonlocal_V(p: NopoParams, beta: float) -> CovarianceMatrix:
-    """The pure member of the symmetric family with cross correlation beta."""
-    return symmetric_family_W(0.5 * np.sqrt(1.0 + 4.0 * beta**2), beta)
-
-
 # Rows call the closed forms, gains and scan through the module globals at
 # each call, so a name rebound on this module reaches every scheme.
 _SCHEMES = {
     SchemeId.NONLOCAL: _Scheme(
-        "beta", JOINT_HOMODYNE, _nonlocal_V,
-        lambda p, b: optimal_gain(_nonlocal_V(p, b),
+        "beta", JOINT_HOMODYNE, lambda p, x: _nonlocal_W(p.chi),
+        lambda p, x: optimal_gain(_nonlocal_W(p.chi),
                                   measurement_model(build_plant(p), JOINT_HOMODYNE)),
-        lambda chi: symmetric_family_W(*optimal_nonlocal_alpha_beta(chi)),
-        lambda p: (optimal_nonlocal_alpha_beta(p.chi)[1], False)),
+        _nonlocal_W, lambda p: (optimal_nonlocal_alpha_beta(p.chi)[1], False),
+        lambda chi: {"alpha": optimal_nonlocal_alpha_beta(chi)[0]}),
     SchemeId.LOCAL_I: _local(lambda x: (x, x), lambda plus, minus: (SCAN_LO, plus)),
     SchemeId.LOCAL_II: _local(lambda x: (x, 0.0), lambda plus, minus: (SCAN_LO, plus)),
     SchemeId.LOCAL_III: _local(lambda x: (0.0, x), lambda plus, minus: (SCAN_LO, minus)),
@@ -357,24 +362,19 @@ def optimize_scheme(p: NopoParams, scheme: SchemeId) -> SchemeResult:
     """Maximize the entanglement of a scheme over its parameter, by its row's optimum rule.
 
     The four local schemes scan their stability windows (``_scan_max``) and
-    carry ``at_boundary=True`` where the supremum is not attained. Nonlocal
-    is ``optimal_nonlocal``, whose L, S and m are closed forms (the 4x4
-    route's L is 6e-7 off at ``CHI_MAX``).
+    carry ``at_boundary=True`` where the supremum is not attained. L, S and m
+    are the products of the state's four EPR variances (``_EprState.figures``).
     """
-    if scheme is SchemeId.NONLOCAL:
-        return optimal_nonlocal(p)
     row = _SCHEMES[scheme]
     x, at_boundary = row.optimum(p)
     V = row.V(p, x)
-    return SchemeResult(scheme=scheme, chi=p.chi,
-                        params={} if row.param is None else {row.param: float(x)},
-                        V=V, L=log_negativity(V), S=von_neumann_entropy(V),
-                        m=float(np.trace(cost_matrix() @ V.data)), at_boundary=at_boundary)
+    params = row.more(p.chi) | ({} if row.param is None else {row.param: float(x)})
+    return SchemeResult(scheme, p.chi, params, V, *V.figures(), at_boundary)
 
 
 def scheme_curves(chi_min: float, chi_max: float, steps: int,
                   schemes: tuple[SchemeId, ...] = CURVE_SCHEMES) -> list[SchemeResult]:
-    """Optimize each scheme on a chi grid; rows ordered by (chi, scheme)."""
+    """Optimize each named scheme once on a chi grid; rows ordered by (chi, scheme)."""
     if not 0.0 <= chi_min < chi_max <= CHI_MAX:
         raise ValueError(f"require 0 <= chi_min < chi_max <= {CHI_MAX}, got "
                          f"[{chi_min}, {chi_max}]")
@@ -383,8 +383,7 @@ def scheme_curves(chi_min: float, chi_max: float, steps: int,
     if steps > _MAX_CURVE_STEPS:
         raise ValueError(f"steps must be at most {_MAX_CURVE_STEPS}, got {steps}")
     grid = np.linspace(chi_min, chi_max, steps) if steps > 1 else np.array([chi_min])
-    order = {s: i for i, s in enumerate(SchemeId)}
-    ordered = sorted(schemes, key=order.__getitem__)
+    ordered = sorted(set(schemes), key=list(SchemeId).index)
     return [optimize_scheme(NopoParams(float(chi)), scheme)
             for chi in grid for scheme in ordered]
 

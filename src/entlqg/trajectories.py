@@ -135,11 +135,13 @@ def _psd_factor(M: np.ndarray) -> np.ndarray:
     """Rows F, r x n, with F^T F = M for a symmetric positive semidefinite M.
 
     Cholesky with diagonal pivoting: each pivot is the first index whose
-    remaining diagonal is within a relative 1e-9 of the largest, so that
-    diagonals equal by symmetry keep their order under round-off, and the
+    remaining diagonal is within a relative 1e-9 of the largest, and the
     factor stops once every remaining diagonal is below 1e-12 times the
-    largest diagonal of M. F is a function of M alone and moves continuously
-    with it, also where an eigenvalue is degenerate and an eigenbasis is not.
+    largest diagonal of M. F is a function of M alone. While round-off keeps
+    diagonals equal by symmetry within 1e-9 of the largest, they keep their
+    index order and F moves continuously with M, also where an eigenbasis is
+    not unique. Past that (local-i's increment Q at its window edge, chi 0.25,
+    dt 1e-2: 4.7e-9) F can jump by O(max|F|): same law, other paths.
     """
     S = 0.5 * (M + M.T)
     floor = 1e-12 * S.diagonal().max()
@@ -178,7 +180,7 @@ def simulate_conditional(plant: PlantModel, u: Unravelling, gain: FeedbackGain,
     Phi = e^{A_cl dt}, and xi one standard normal per row of R. R is
     ``_psd_factor(Q)``, a pivoted Cholesky factor with r rows, r the rank
     of Q (2 for heterodyne and 1 for local-iii at their optimal gains),
-    canonical and continuous in Q. Taking Q from Z keeps it accurate
+    a function of Q alone. Taking Q from Z keeps it accurate
     relative to its size when K is only round-off. The chain advances s
     steps per product of one (s d) x (d + s r) step matrix M_s, built once
     a call by s products: row block j, [Phi_z^j | Phi_z^{j-1} R_z^T ...

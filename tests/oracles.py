@@ -2,6 +2,7 @@
 
 Each oracle's docstring names the ``entlqg`` function it checks and why it is independent."""
 
+import decimal
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,54 @@ def expanded_heterodyne_V(chi, mu):
     g = (-1 + 4 * chi * mu + 2 * mu**2) / (2 * den)
     s = -(chi + 2 * chi * mu**2 + 2 * mu**3) / den
     return [[g, 0, s, 0], [0, g, 0, -s], [s, 0, g, 0], [0, -s, 0, g]]
+
+
+def expanded_nonlocal_W(chi):
+    """Checks the nonlocal row's variances: its alpha and beta as ratios, exact on Fractions.
+
+    alpha = sqrt(1 + 4 beta^2)/2 is rational here: 1 + 4 beta^2 is the square of
+    (1 - 2chi + 2chi^2)/(1 - 2chi) at beta = chi(1 - chi)/(1 - 2chi).
+    """
+    alpha = (1 - 2 * chi + 2 * chi**2) / (2 * (1 - 2 * chi))
+    beta = chi * (1 - chi) / (1 - 2 * chi)
+    return [[alpha, 0, beta, 0], [0, alpha, 0, -beta], [beta, 0, alpha, 0], [0, -beta, 0, alpha]]
+
+
+def exact_epr_variances(scheme, chi, x):
+    """Checks each scheme row's state: (q+, q-, p+, p-) of its expanded form at Fraction chi, x."""
+    lams = {SchemeId.LOCAL_I: (x, x), SchemeId.LOCAL_II: (x, 0), SchemeId.LOCAL_III: (0, x),
+            SchemeId.LOCAL_IV: (x, -x), SchemeId.NONE: (0, 0)}
+    if scheme is SchemeId.NONLOCAL:
+        V = expanded_nonlocal_W(chi)
+    elif scheme is SchemeId.HETERODYNE:
+        V = expanded_heterodyne_V(chi, x)
+    else:
+        V = expanded_homodyne_V(chi, *lams[scheme])
+    return V[0][0] + V[0][2], V[0][0] - V[0][2], V[1][1] + V[1][3], V[1][1] - V[1][3]
+
+
+def epr_figures_exact(q_plus, q_minus, p_plus, p_minus):
+    """Checks _EprState.figures: L, S and m of exact Fraction variances, in 40-digit decimal.
+
+    The variances and their products are exact; only the square roots and
+    logarithms round, at 40 digits. Returns floats (L, S, m).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        half, ln2 = decimal.Decimal("0.5"), decimal.Decimal(2).ln()
+
+        def root(f):
+            return (decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)).sqrt()
+
+        def g(nu):
+            if nu <= half:
+                return decimal.Decimal(0)
+            return ((nu + half) * (nu + half).ln() - (nu - half) * (nu - half).ln()) / ln2
+
+        nu_pt = min(root(q_plus * p_minus), root(q_minus * p_plus))
+        L = max(decimal.Decimal(0), -(2 * nu_pt).ln() / ln2)
+        S = g(root(q_plus * p_plus)) + g(root(q_minus * p_minus))
+        return float(L), float(S), float(q_minus + p_plus)
 
 
 def relative_error_to_exact(V, exact):

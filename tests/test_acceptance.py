@@ -6,11 +6,10 @@ import numpy as np
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceMatrix, NopoParams, SchemeId,
                     build_plant, closed_loop, cost_matrix, diffusion_matrix, drift_matrix,
                     heterodyne_closed_form_V, homodyne_closed_form_V, lmi_feasible,
-                    lyapunov_steady, measurement_model, optimal_gain, optimal_nonlocal,
-                    optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
-                    regulation_cost, regulation_cost_sem, riccati_steady, scheme_realization,
-                    simulate_conditional, symmetric_family_W, symplectic_eigenvalues, u_matrix,
-                    SimConfig)
+                    lyapunov_steady, measurement_model, optimal_gain, optimal_nonlocal_alpha_beta,
+                    optimize_scheme, recover_unravelling, regulation_cost, regulation_cost_sem,
+                    riccati_steady, scheme_realization, simulate_conditional, symmetric_family_W,
+                    symplectic_eigenvalues, u_matrix, SimConfig)
 from entlqg.dynamics import is_hurwitz
 from entlqg.nopo import heterodyne_gain, heterodyne_stable, homodyne_gain, homodyne_stable
 from entlqg.cli import MC_FLOOR
@@ -213,7 +212,7 @@ def test_criterion_09_monte_carlo_oracle():
     failures = []
     p = NopoParams(0.3)
     plant = build_plant(p)
-    result = optimal_nonlocal(p)
+    result = optimize_scheme(p, SchemeId.NONLOCAL)
     u, gain = scheme_realization(p, result)
     W = riccati_steady(plant, u)
     cfg = SimConfig(dt=1e-3, t_final=20.0, n_traj=1000, seed=7)

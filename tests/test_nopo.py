@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from entlqg import (CHI_MAX, HETERODYNE, JOINT_HOMODYNE, NopoParams, SchemeId, StabilityError,
-                    build_plant, closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
-                    diffusion_matrix, drift_matrix, epr_variance, heterodyne_closed_form_V,
-                    heterodyne_optimal_mu, homodyne_closed_form_V, lmi_feasible, log_negativity,
-                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal,
+                    UnphysicalStateError, build_plant, closed_loop, closed_loop_for_scheme,
+                    conditional_V, cost_matrix, diffusion_matrix, drift_matrix, epr_variance,
+                    heterodyne_closed_form_V, heterodyne_optimal_mu, homodyne_closed_form_V,
+                    lmi_feasible, log_negativity, lyapunov_steady, measurement_model, open_loop_V,
                     optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
                     riccati_steady, scheme_curves, scheme_realization, symmetric_family_W,
                     von_neumann_entropy)
@@ -15,9 +15,9 @@ from entlqg.dynamics import HURWITZ_TOL
 from entlqg.nopo import (_MAX_CURVE_STEPS, _SCHEMES, EDGE_MARGIN, heterodyne_gain,
                          heterodyne_stable)
 from entlqg.unravelling import riccati_certificate
-from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, expanded_heterodyne_V,
-                     expanded_homodyne_V, grid_maximizer, grid_minimizer,
-                     relative_error_to_exact)
+from oracles import (CHI_GRID, DOMAIN_CHIS, MEASUREMENTS, epr_figures_exact,
+                     exact_epr_variances, expanded_heterodyne_V, expanded_homodyne_V,
+                     grid_maximizer, grid_minimizer, relative_error_to_exact)
 
 THRESHOLD_CHIS = (0.1, 0.45, 0.499, 0.4999, 0.49999, CHI_MAX)
 
@@ -98,7 +98,7 @@ class TestCostMatrix:
 
 class TestOptimalNonlocal:
     def test_quarter_coupling(self):
-        r = optimal_nonlocal(NopoParams(0.25))
+        r = optimize_scheme(NopoParams(0.25), SchemeId.NONLOCAL)
         assert r.params["alpha"] == pytest.approx(0.625, abs=1e-12)
         assert r.params["beta"] == pytest.approx(0.375, abs=1e-12)
         assert r.m == pytest.approx(0.5, abs=1e-12)
@@ -106,7 +106,7 @@ class TestOptimalNonlocal:
         assert r.S <= 1e-8
 
     def test_zero_coupling(self):
-        r = optimal_nonlocal(NopoParams(0.0))
+        r = optimize_scheme(NopoParams(0.0), SchemeId.NONLOCAL)
         assert r.params["alpha"] == pytest.approx(0.5, abs=1e-15)
         assert r.params["beta"] == pytest.approx(0.0, abs=1e-15)
         assert r.m == pytest.approx(1.0, abs=1e-12)
@@ -219,6 +219,49 @@ class TestClosedFormsExact:
         # The expanded form put a symplectic eigenvalue below 1/2 here.
         # At CHI_MAX the 4x4 eigen-solve itself still loses that precision.
         assert von_neumann_entropy(homodyne_closed_form_V(NopoParams(chi), 0.0, chi)) > 0
+
+
+def assert_figures_close(got, want, rel=1e-12):
+    # a float variance rounds to ~1e-16, which leaves L near 0 (2.9e-9 at chi
+    # 1e-9) and the S of a nearly pure state (~1e-14) an absolute error
+    for name, g, w in zip("LSm", got, want):
+        assert abs(g - w) <= rel * abs(w) + 1e-13, (name, g, w)
+
+
+class TestEprFigures:
+    """L, S and m are products of the state's four EPR variances, exact to rounding."""
+
+    @pytest.mark.parametrize("chi", DOMAIN_CHIS)
+    @pytest.mark.parametrize("scheme", SchemeId)
+    def test_products_against_exact_variances(self, scheme, chi):
+        r = optimize_scheme(NopoParams(chi), scheme)
+        figures = (r.L, r.S, r.m)
+        # the products alone, on the state's own variances taken exactly
+        assert_figures_close(figures, epr_figures_exact(*map(Fraction, r.V.epr)))
+        # with the closed form, on the exact variances at the reported x. Past
+        # 0.4999 homodyne_closed_form_V's q- rounds 1 + 2chi before
+        # 1 + 2chi - 4 lambda_- cancels to ~4e-6: 2.8e-11 relative at
+        # local-iii's and local-iv's optimum, 1.9e-10 in local-iv's S.
+        exact = epr_figures_exact(*exact_epr_variances(scheme, Fraction(chi),
+                                                       Fraction(r.reported_param[1])))
+        assert_figures_close(figures, exact, rel=1e-12 if chi <= 0.4999 else 1e-9)
+        if chi <= 0.45:
+            # Where V is well conditioned, the generic 4x4 route agrees.
+            generic = (log_negativity(r.V), von_neumann_entropy(r.V),
+                       np.trace(cost_matrix() @ r.V.data))
+            assert_figures_close(figures, generic, rel=1e-9)
+
+    def test_threshold_state_the_generic_entropy_rejects(self):
+        # local-iii's state at CHI_MAX: the 4x4 eigen-solve, at condition number
+        # ~1e12, puts a symplectic eigenvalue at 0.49999815, below 1/2. The
+        # products give S to 3e-15; L carries the closed form's q- (4e-12).
+        V = homodyne_closed_form_V(NopoParams(CHI_MAX), 0.0, CHI_MAX)
+        with pytest.raises(UnphysicalStateError):
+            von_neumann_entropy(V)
+        exact = epr_figures_exact(*exact_epr_variances(SchemeId.LOCAL_III, Fraction(CHI_MAX),
+                                                       Fraction(CHI_MAX)))
+        assert np.isfinite(V.figures()[1])
+        assert_figures_close(V.figures(), exact, rel=1e-9)
 
 
 class TestHeterodyneClosedForm:
@@ -369,6 +412,10 @@ class TestSchemeCurves:
         rows = scheme_curves(0.1, 0.2, 2, (SchemeId.NONE, SchemeId.NONLOCAL))
         assert [r.scheme for r in rows] == [SchemeId.NONLOCAL, SchemeId.NONE] * 2
         assert rows[0].chi <= rows[-1].chi
+
+    def test_repeated_scheme_gives_one_row(self):
+        rows = scheme_curves(0.1, 0.2, 2, (SchemeId.NONE, SchemeId.NONLOCAL, SchemeId.NONE))
+        assert [r.scheme for r in rows] == [SchemeId.NONLOCAL, SchemeId.NONE] * 2
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

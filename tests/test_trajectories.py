@@ -8,9 +8,8 @@ from entlqg import (CHI_MAX, HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, CovarianceM
                     SimConfig, StabilityError, TrajectoryDivergenceError, Unravelling, build_plant,
                     closed_loop, closed_loop_for_scheme, conditional_V, cost_matrix,
                     diffusion_matrix, drift_matrix, is_physical, lyapunov_steady,
-                    measurement_model, open_loop_V, optimal_gain, optimal_nonlocal,
-                    optimize_scheme, regulation_cost, regulation_cost_sem, riccati_steady,
-                    scheme_realization, simulate_conditional)
+                    measurement_model, open_loop_V, optimal_gain, optimize_scheme, regulation_cost,
+                    regulation_cost_sem, riccati_steady, scheme_realization, simulate_conditional)
 from entlqg.nopo import homodyne_gain
 from entlqg.cli import MC_FLOOR, main
 from entlqg.dynamics import HURWITZ_TOL, _expm
@@ -89,7 +88,7 @@ class TestConditionalCovariance:
         # the size of W, held exactly, so the zero noise coefficient draws nothing
         p = NopoParams(CHI_MAX)
         plant = build_plant(p)
-        result = optimal_nonlocal(p)
+        result = optimize_scheme(p, SchemeId.NONLOCAL)
         u, gain = scheme_realization(p, result)
         cfg = SimConfig(t_final=5.0, n_traj=4, seed=0)
         stats = simulate_conditional(plant, u, gain, cfg, v0=result.V)
@@ -294,7 +293,7 @@ class TestMeanRecursion:
         # to nothing.
         p = NopoParams(0.3)
         plant = build_plant(p)
-        result = optimal_nonlocal(p)
+        result = optimize_scheme(p, SchemeId.NONLOCAL)
         u, gain = scheme_realization(p, result)
         cfg = SimConfig(t_final=20.0, n_traj=40, seed=7)
         drawn = simulate_conditional(plant, u, gain, cfg, v0=riccati_steady(plant, u))

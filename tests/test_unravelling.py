@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain, InvalidUnravellingError,
-                    NoStableSolutionError, NopoParams, PlantModel, SimConfig, Unravelling,
-                    build_plant, diffusion_matrix, drift_matrix, lmi_feasible, lyapunov_steady,
-                    measurement_model, open_loop_V, optimal_nonlocal, optimal_nonlocal_alpha_beta,
-                    recover_unravelling, riccati_rhs, riccati_steady, simulate_conditional,
-                    symmetric_family_W, u_matrix)
+                    NoStableSolutionError, NopoParams, PlantModel, SchemeId, SimConfig,
+                    Unravelling, build_plant, diffusion_matrix, drift_matrix, lmi_feasible,
+                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal_alpha_beta,
+                    optimize_scheme, recover_unravelling, riccati_rhs, riccati_steady,
+                    simulate_conditional, symmetric_family_W, u_matrix)
 from entlqg.gaussian import CovarianceMatrix, symplectic_form
 from entlqg.unravelling import _cbar, riccati_certificate, riccati_map, riccati_propagator
 from oracles import PRINTED_OPTIMAL_U, anti_stabilizing_solution, rk4_relaxation, rk4_step
@@ -322,7 +322,8 @@ class TestRecoverUnravelling:
         # W barely fixes U near chi = 0: the least-squares U sits ~1e-16 / chi
         # off the projector, and is snapped onto it
         p = NopoParams(chi)
-        u, residual = recover_unravelling(optimal_nonlocal(p).V, build_plant(p))
+        u, residual = recover_unravelling(optimize_scheme(p, SchemeId.NONLOCAL).V,
+                                          build_plant(p))
         assert residual <= 1e-8
         assert np.max(np.abs(u_matrix(u) - PRINTED_OPTIMAL_U)) <= 1e-14
 
