@@ -340,8 +340,12 @@ def recover(chi: float):
     """Recover the optimal unravelling from the optimal conditional covariance.
 
     Near chi = 0, W - vacuum ~ chi fixes U only to ~1e-16 / chi, so below
-    chi ~ 1e-12 the rows may print as "(mixed quadratures)", and at chi = 0
-    U is not determined at all: every unravelling leaves the vacuum.
+    chi ~ 1e-12 the rows print as "(mixed quadratures)", and at chi = 0
+    U is not determined at all: every unravelling leaves the vacuum. From
+    chi ~ 1e-16 down to the smallest normal floats (~2e-308) the fitted U
+    mostly comes out indefinite and recover exits 5 ("unravelling matrix
+    indefinite"); some such chi, as 1e-308, print the chi = 0 answer. At
+    subnormal chi R's pseudo-inverse overflows: exit 5.
     """
     p = NopoParams(chi)
     plant = build_plant(p)

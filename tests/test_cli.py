@@ -55,33 +55,6 @@ class TestModel:
 
 
 class TestCurves:
-    def test_all_schemes_grid(self, runner):
-        result = runner.invoke(main, ["curves", "--chi-min", "0.05", "--chi-max",
-                                      "0.45", "--steps", "9", "--schemes", "all"])
-        assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        rows = [dict(zip(CSV_COLUMNS, ln.split(","))) for ln in lines[1:]]
-        assert len(rows) == 45
-        by_chi = {}
-        for r in rows:
-            by_chi.setdefault(r["chi"], {})[r["scheme"]] = float(r["L_bits"])
-        for chi, g in by_chi.items():
-            assert (g["nonlocal"] >= g["local-iii"] >= g["heterodyne"] >= g["none"])
-            assert abs(g["local-iii"] - g["local-iv"]) <= 1e-9
-
-    def test_nonlocal_column_closed_form(self, runner):
-        result = runner.invoke(main, ["curves", "--chi-min", "0.1", "--chi-max",
-                                      "0.4", "--steps", "4", "--schemes", "nonlocal"])
-        assert result.exit_code == 0
-        lines = result.output.strip().splitlines()[1:]
-        assert len(lines) == 4
-        for ln in lines:
-            row = dict(zip(CSV_COLUMNS, ln.split(",")))
-            chi = float(row["chi"])
-            assert float(row["L_bits"]) == pytest.approx(-np.log2(1 - 2 * chi),
-                                                         abs=1e-9)
-
     def test_single_step(self, runner):
         result = runner.invoke(main, ["curves", "--chi-min", "0.2", "--chi-max",
                                       "0.3", "--steps", "1", "--schemes", "none"])

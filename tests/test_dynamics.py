@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from entlqg import (NoStableSolutionError, NopoParams, PlantModel, build_plant, diffusion_matrix,
-                    drift_matrix, lyapunov_steady)
+from entlqg import (NoStableSolutionError, NopoParams, NumericalError, PlantModel, build_plant,
+                    diffusion_matrix, drift_matrix, lyapunov_steady)
 from entlqg.dynamics import is_hurwitz
 
 
@@ -104,6 +104,14 @@ class TestLyapunovSteady:
     def test_unstable_drift_rejected(self):
         with pytest.raises(NoStableSolutionError):
             lyapunov_steady(nopo_drift(0.5), np.eye(4) / 2)
+
+    def test_inaccurate_solve_rejected(self):
+        # Hurwitz, but a rotated near-Jordan block: the Kronecker solve misses
+        # its own equation by ~5e-6, far past the 1e-10 rule
+        Q = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
+        A = Q @ np.array([[-1e-4, 1.0], [0.0, -1e-4]]) @ Q.T
+        with pytest.raises(NumericalError, match="Lyapunov residual"):
+            lyapunov_steady(A, np.eye(2))
 
 
 class TestPlantModel:

@@ -97,14 +97,6 @@ class TestCostMatrix:
 
 
 class TestOptimalNonlocal:
-    def test_quarter_coupling(self):
-        r = optimize_scheme(NopoParams(0.25), SchemeId.NONLOCAL)
-        assert r.params["alpha"] == pytest.approx(0.625, abs=1e-12)
-        assert r.params["beta"] == pytest.approx(0.375, abs=1e-12)
-        assert r.m == pytest.approx(0.5, abs=1e-12)
-        assert r.L == pytest.approx(1.0, abs=1e-12)
-        assert r.S <= 1e-8
-
     def test_zero_coupling(self):
         r = optimize_scheme(NopoParams(0.0), SchemeId.NONLOCAL)
         assert r.params["alpha"] == pytest.approx(0.5, abs=1e-15)
@@ -238,6 +230,9 @@ class TestEprFigures:
         figures = (r.L, r.S, r.m)
         # the products alone, on the state's own variances taken exactly
         assert_figures_close(figures, epr_figures_exact(*map(Fraction, r.V.epr)))
+        if scheme is SchemeId.NONLOCAL:
+            # the joint-homodyne optimum is pure: its sqrt(q+ p+) never exceeds 1/2
+            assert r.S == 0.0
         # with the closed form, on the exact variances at the reported x. Past
         # 0.4999 homodyne_closed_form_V's q- rounds 1 + 2chi before
         # 1 + 2chi - 4 lambda_- cancels to ~4e-6: 2.8e-11 relative at

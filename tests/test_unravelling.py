@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain, InvalidUnravellingError,
-                    NoStableSolutionError, NopoParams, PlantModel, SchemeId, SimConfig,
-                    Unravelling, build_plant, diffusion_matrix, drift_matrix, lmi_feasible,
-                    lyapunov_steady, measurement_model, open_loop_V, optimal_nonlocal_alpha_beta,
-                    optimize_scheme, recover_unravelling, riccati_rhs, riccati_steady,
-                    simulate_conditional, symmetric_family_W, u_matrix)
+                    NoStableSolutionError, NopoParams, PlantModel, RecoveryError, SchemeId,
+                    SimConfig, Unravelling, build_plant, diffusion_matrix, drift_matrix,
+                    lmi_feasible, lyapunov_steady, measurement_model, open_loop_V,
+                    optimal_nonlocal_alpha_beta, optimize_scheme, recover_unravelling,
+                    riccati_rhs, riccati_steady, simulate_conditional, symmetric_family_W,
+                    u_matrix)
 from entlqg.gaussian import CovarianceMatrix, symplectic_form
 from entlqg.unravelling import _cbar, riccati_certificate, riccati_map, riccati_propagator
 from oracles import PRINTED_OPTIMAL_U, anti_stabilizing_solution, rk4_relaxation, rk4_step
@@ -236,6 +237,12 @@ class TestRiccatiSteady:
             report = lmi_feasible(W, plant, tol=1e-8)
             assert report.feasible
 
+    def test_step_cap_rejected(self, monkeypatch):
+        # a relaxation that has not met its stop rule within the cap raises
+        monkeypatch.setattr("entlqg.unravelling.RICCATI_MAX_STEPS", 3)
+        with pytest.raises(NoStableSolutionError, match="did not converge within 3 steps"):
+            riccati_steady(build_plant(NopoParams(0.3)), HETERODYNE)
+
     def test_no_measurement_plant_has_no_steady_state(self):
         # A plant without damping channels has purely Hamiltonian drift with
         # trace zero, which can never be Hurwitz: the relaxation start point
@@ -349,3 +356,10 @@ class TestRecoverUnravelling:
         p = NopoParams(0.25)
         with pytest.raises(ValueError):
             recover_unravelling(CovarianceMatrix(np.eye(4) / 4), build_plant(p))
+
+    def test_residual_above_bound_rejected(self, monkeypatch):
+        # with no room for round-off, neither the snapped nor the fitted U passes
+        monkeypatch.setattr("entlqg.unravelling.RECOVERY_RESIDUAL_TOL", 0.0)
+        W = symmetric_family_W(*optimal_nonlocal_alpha_beta(0.25))
+        with pytest.raises(RecoveryError, match=r"recovery residual \S+ above 0\.000e\+00"):
+            recover_unravelling(W, build_plant(NopoParams(0.25)))
