@@ -61,19 +61,31 @@ def is_hurwitz(A: np.ndarray) -> bool:
     return bool(np.linalg.eigvals(A).real.max() < -HURWITZ_TOL)
 
 
+def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """kron(I, A) + kron(A, I): entry (a n + i, b n + j) is I_ab A_ij + A_ab I_ij."""
+    n = len(A)
+    I = np.eye(n)
+    K = np.multiply.outer(I, A) + np.multiply.outer(A, I)
+    return K.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def lyapunov_steady(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     """Unique symmetric solution of A V + V A^T + D = 0 for Hurwitz A.
 
     Solved by Kronecker vectorization; at the matrix sizes used here the
-    resulting dense linear system is trivial. The residual is verified.
+    resulting dense linear system is trivial. NumericalError is raised when
+    that system is singular to working precision or the residual misses
+    1e-10 max(1, max|D|).
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     if not is_hurwitz(A):
         raise NoStableSolutionError("drift matrix is not Hurwitz; no stable steady state")
     n = A.shape[0]
-    K = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
-    v = np.linalg.solve(K, -D.reshape(-1, order="F"))
+    try:
+        v = np.linalg.solve(_lyapunov_operator(A), -D.reshape(-1, order="F"))
+    except np.linalg.LinAlgError:
+        raise NumericalError("Kronecker operator of the Lyapunov equation is singular") from None
     V = v.reshape((n, n), order="F")
     V = 0.5 * (V + V.T)
     residual = np.max(np.abs(A @ V + V @ A.T + D))
@@ -89,8 +101,9 @@ def _expm(M: np.ndarray) -> np.ndarray:
     X = M / 2.0**s
     E = term = np.eye(len(M))
     for k in range(1, 19):   # truncation below 0.5^19 / 19! ~ 2e-23
-        term = term @ X / k
-        E = E + term
+        term = term @ X
+        term /= k
+        E += term
     for _ in range(s):
         E = E @ E
     return E

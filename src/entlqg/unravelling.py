@@ -10,6 +10,7 @@ equation and is characterized by two linear matrix inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +60,13 @@ class MeasurementModel:
 def _u_eigh(u: Unravelling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U with its eigendecomposition; rejects U with an eigenvalue below -U_PSD_TOL."""
     Y = u.upsilon
-    I = np.eye(u.n_channels)
-    U = 0.5 * np.block([[I + Y.real, Y.imag], [Y.imag, I - Y.real]])
+    L = u.n_channels
+    I = np.eye(L)
+    U = np.empty((2 * L, 2 * L))
+    np.add(I, Y.real, out=U[:L, :L])
+    np.subtract(I, Y.real, out=U[L:, L:])
+    U[:L, L:] = U[L:, :L] = Y.imag
+    U *= 0.5
     w, Q = np.linalg.eigh(U)
     if w.min() < -U_PSD_TOL:
         raise InvalidUnravellingError(
@@ -79,11 +85,15 @@ def _cbar(Ctilde: np.ndarray) -> np.ndarray:
     return np.vstack([Ct.real, Ct.imag])
 
 
+@lru_cache
 def _s_matrix(n_channels: int) -> np.ndarray:
-    """The 2L x 2L block matrix [[0, I], [-I, 0]] acting on (Re, Im) current space."""
-    I = np.eye(n_channels)
-    Z = np.zeros((n_channels, n_channels))
-    return np.block([[Z, I], [-I, Z]])
+    """The 2L x 2L block matrix [[0, I], [-I, 0]] acting on (Re, Im) current space; read-only."""
+    L = n_channels
+    S = np.zeros((2 * L, 2 * L))
+    S[:L, L:] = np.eye(L)
+    S[L:, :L] = -np.eye(L)
+    S.flags.writeable = False
+    return S
 
 
 def measurement_model(plant: PlantModel, u: Unravelling) -> MeasurementModel:

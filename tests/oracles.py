@@ -237,6 +237,26 @@ def determinant_symplectic_eigenvalues(V):
     return float(np.sqrt(u + root)), float(np.sqrt(max(u - root, 0.0)))
 
 
+def kron_lyapunov_operator(A):
+    """Checks _lyapunov_operator bit for bit: kron(I, A) + kron(A, I) by np.kron."""
+    I = np.eye(len(A))
+    return np.kron(I, A) + np.kron(A, I)
+
+
+def reflected_product(V, mode):
+    """Checks partial_transpose bit for bit: F V F with F a reflected identity, no negation."""
+    F = np.eye(len(V))
+    F[2 * mode + 1, 2 * mode + 1] = -1.0
+    return F @ V @ F
+
+
+def block_u_matrix(upsilon):
+    """Checks u_matrix bit for bit: U assembled by np.block, not filled block by block."""
+    Y = np.asarray(upsilon)
+    I = np.eye(len(Y))
+    return 0.5 * np.block([[I + Y.real, Y.imag], [Y.imag, I - Y.real]])
+
+
 def expm_by_eig(M):
     """Checks the simulator's Taylor _expm: e^M by eigendecomposition (M = A_cl dt)."""
     lam, E = np.linalg.eig(M)

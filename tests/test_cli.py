@@ -428,6 +428,21 @@ class TestInProcessRuns:
         gc.collect()
         assert [ref() for ref in streams] == [None] * 5
 
+    @pytest.mark.parametrize("args", [["verify", "--chi", "0.3", "--scheme", "heterodyne"],
+                                      ["optimize", "--chi", "0.3", "--scheme", "local-iii"]],
+                             ids=["verify", "optimize"])
+    def test_no_constant_matrix_rebuilt(self, runner, monkeypatch, args):
+        # the generic layer builds its constant matrices once and fills its
+        # blocks in place; a call that reaches np.kron or np.block rebuilds a
+        # constant on every operation
+        def rebuilt(*_args, **_kwargs):
+            raise AssertionError("np.kron or np.block called")
+
+        monkeypatch.setattr(np, "kron", rebuilt)
+        monkeypatch.setattr(np, "block", rebuilt)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (result.output, result.exception)
+
 
 GOLDEN = Path(__file__).parent / "data"
 

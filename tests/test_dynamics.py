@@ -3,7 +3,8 @@ import pytest
 
 from entlqg import (NoStableSolutionError, NopoParams, NumericalError, PlantModel, build_plant,
                     diffusion_matrix, drift_matrix, lyapunov_steady)
-from entlqg.dynamics import is_hurwitz
+from entlqg.dynamics import _lyapunov_operator, is_hurwitz
+from oracles import kron_lyapunov_operator
 
 
 def nopo_drift(chi):
@@ -112,6 +113,23 @@ class TestLyapunovSteady:
         A = Q @ np.array([[-1e-4, 1.0], [0.0, -1e-4]]) @ Q.T
         with pytest.raises(NumericalError, match="Lyapunov residual"):
             lyapunov_steady(A, np.eye(2))
+
+    def test_singular_operator_rejected(self):
+        # Hurwitz (eigenvalues ~-1e-6), but this rotated near-Jordan block makes
+        # the Kronecker operator singular to working precision
+        Q = np.array([[1.0, -1.0], [1.0, 1.0]]) * np.sqrt(0.5)
+        A = Q @ np.array([[-1e-6, 1.0], [0.0, -1e-6]]) @ Q.T
+        assert is_hurwitz(A)
+        with pytest.raises(NumericalError, match="Kronecker operator .* singular"):
+            lyapunov_steady(A, np.eye(2))
+
+    def test_operator_matches_kron(self):
+        # one outer product per term: the products and sums of the two np.kron
+        # calls, signed zeros included
+        rng = np.random.default_rng(17)
+        for n_modes in (1, 2, 3):
+            A = rng.normal(size=(2 * n_modes, 2 * n_modes))
+            assert _lyapunov_operator(A).tobytes() == kron_lyapunov_operator(A).tobytes()
 
 
 class TestPlantModel:

@@ -4,8 +4,9 @@ import pytest
 from entlqg import (CovarianceMatrix, NopoParams, UnphysicalStateError, epr_variance, is_physical,
                     log_negativity, open_loop_V, symmetric_family_W, symplectic_eigenvalues,
                     von_neumann_entropy)
-from entlqg.gaussian import partial_transpose, symplectic_form
-from oracles import brute_force_spectrum, determinant_symplectic_eigenvalues, open_loop_matrix
+from entlqg.gaussian import _i_symplectic_form, partial_transpose, symplectic_form
+from oracles import (brute_force_spectrum, determinant_symplectic_eigenvalues, open_loop_matrix,
+                     reflected_product)
 
 LOG2_1P5 = 0.5849625007211562      # log2(1.5)
 HALF_LOG2_3 = 0.7924812503605781   # (1/2) log2(3)
@@ -33,6 +34,16 @@ class TestSymplecticForm:
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
             symplectic_form(0)
+
+    def test_shared_and_read_only(self):
+        # built once per mode count and handed to every caller, so no caller
+        # may write into it
+        for form in (symplectic_form, _i_symplectic_form):
+            S = form(2)
+            assert form(2) is S
+            with pytest.raises(ValueError):
+                S[0, 1] = 2.0
+        assert symplectic_form(2)[0, 1] == 1.0
 
 
 class TestIsPhysical:
@@ -95,6 +106,16 @@ class TestPartialTranspose:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             partial_transpose(CovarianceMatrix(np.eye(4) / 2), 2)
+
+    def test_matches_reflected_product(self):
+        # one row and one column negated: the bits of F V F wherever V has no
+        # exact zero, which the product would turn into +0
+        rng = np.random.default_rng(19)
+        for n_modes in (1, 2, 3):
+            V = CovarianceMatrix(rng.normal(size=(2 * n_modes, 2 * n_modes)))
+            for mode in range(n_modes):
+                want = CovarianceMatrix(reflected_product(V.data, mode)).data
+                assert partial_transpose(V, mode).data.tobytes() == want.tobytes()
 
 
 class TestLogNegativity:

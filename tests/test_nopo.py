@@ -105,18 +105,6 @@ class TestOptimalNonlocal:
         assert r.L == pytest.approx(0.0, abs=1e-12)
         assert f"{r.L:.12g}" == "0"
 
-    @pytest.mark.parametrize("chi", DOMAIN_CHIS)
-    def test_closed_form_over_whole_domain(self, chi):
-        r = optimize_scheme(NopoParams(chi), SchemeId.NONLOCAL)
-        assert r.L == pytest.approx(-np.log2(1 - 2 * chi), rel=1e-12)
-        assert r.S == 0.0
-        assert r.m == pytest.approx(1 - 2 * chi, rel=1e-12)
-        if chi <= 0.45:
-            # Where V is well conditioned, the generic spectra agree.
-            assert log_negativity(r.V) == pytest.approx(r.L, abs=1e-10)
-            assert von_neumann_entropy(r.V) <= 1e-8
-            assert np.trace(cost_matrix() @ r.V.data) == pytest.approx(r.m, abs=1e-12)
-
     @pytest.mark.parametrize("chi", [0.05, 0.25, 0.45])
     def test_recovery_cross_check(self, chi):
         p = NopoParams(chi)

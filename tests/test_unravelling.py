@@ -9,8 +9,10 @@ from entlqg import (HETERODYNE, HOMODYNE_Q, JOINT_HOMODYNE, FeedbackGain, Invali
                     riccati_rhs, riccati_steady, simulate_conditional, symmetric_family_W,
                     u_matrix)
 from entlqg.gaussian import CovarianceMatrix, symplectic_form
-from entlqg.unravelling import _cbar, riccati_certificate, riccati_map, riccati_propagator
-from oracles import PRINTED_OPTIMAL_U, anti_stabilizing_solution, rk4_relaxation, rk4_step
+from entlqg.unravelling import (_cbar, _s_matrix, riccati_certificate, riccati_map,
+                                riccati_propagator)
+from oracles import (PRINTED_OPTIMAL_U, anti_stabilizing_solution, block_u_matrix, rk4_relaxation,
+                     rk4_step)
 
 PRINTED_OPTIMAL_C = (1 / np.sqrt(2)) * np.array([[1, 0, -1, 0], [-1, 0, 1, 0],
                                                  [0, 1, 0, 1], [0, 1, 0, 1]])
@@ -53,6 +55,17 @@ class TestUMatrix:
     def test_non_square_upsilon_rejected(self):
         with pytest.raises(ValueError, match="upsilon must be square"):
             Unravelling(np.zeros((2, 3), dtype=complex))
+
+    def test_matches_block_form(self):
+        # U's blocks filled in place: the bits of the np.block form, on random
+        # symmetric upsilon of spectral norm 0.9, so that U is PSD
+        rng = np.random.default_rng(23)
+        for n_channels in (1, 2, 3):
+            shape = (n_channels, n_channels)
+            Y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            Y = 0.9 * (Y + Y.T) / np.linalg.norm(Y + Y.T, 2)
+            u = Unravelling(Y)
+            assert u_matrix(u).tobytes() == block_u_matrix(u.upsilon).tobytes()
 
 
 class TestCbar:
@@ -137,6 +150,15 @@ class TestMeasurementModel:
         plant = build_plant(NopoParams(0.25))
         with pytest.raises(ValueError):
             measurement_model(plant, Unravelling(np.zeros((3, 3), dtype=complex)))
+
+    def test_s_matrix_shared_and_read_only(self):
+        # built once per channel count and handed to every caller, so no
+        # caller may write into it
+        S = _s_matrix(2)
+        assert _s_matrix(2) is S
+        with pytest.raises(ValueError):
+            S[0, 2] = 2.0
+        assert _s_matrix(2)[0, 2] == 1.0
 
 
 class TestRiccatiRhs:
